@@ -24,13 +24,10 @@ from .coherence import (
     SensingOperator,
     build_omega,
     build_sensing_matrix,
-    c_omega,
     coherence_report,
     f_omega,
-    f_psi_reference,
     generalized_coherence,
     mutual_coherence,
-    t_p_dictionary,
     welch_bound,
 )
 from .dictionary import (
@@ -40,7 +37,6 @@ from .dictionary import (
     decode_grid_index,
     encode_grid_index,
     make_grids,
-    virtual_channel,
 )
 from .errors import (
     CapacityError,
@@ -68,7 +64,6 @@ from .harness import (
     load_experiment_config,
     make_baseline_design,
     median_difference_ci,
-    profile_config,
     run_baseline,
     run_design,
     run_estimate,

@@ -1,8 +1,8 @@
 """Frequency-selective MIMO-OFDM channel synthesis.
 
 Uniform-linear-array steering vectors, per-subcarrier delay responses,
-Rician path sampling, and assembly of per-subcarrier channel matrices into
-the stacked channel vector consumed by the sparse-recovery pipeline.
+Rician path sampling, and assembly of per-subcarrier channel matrices laid
+out as the stacked channel vector consumed by the sparse-recovery pipeline.
 
 Conventions used throughout the package: all indices are 0-based and
 vectorization is column-major (``ravel(order="F")``), i.e. the receive
@@ -100,19 +100,27 @@ class ChannelRealization:
 
 @dataclass(frozen=True)
 class ChannelVector:
-    """Per-subcarrier channel matrices plus their stacked vectorization.
+    """Per-subcarrier channel matrices, stored in stacked-vector order.
 
+    ``per_subcarrier`` is (K, Nr, Nt); its memory is the C-order (K, Nt, Nr)
+    buffer whose flat view is ``stacked``, so
     ``stacked[k*Nr*Nt + t*Nr + r] == per_subcarrier[k, r, t]`` (column-major
-    vec of each Nr x Nt matrix, concatenated over subcarriers).
+    vec of each Nr x Nt matrix, concatenated over subcarriers) without a copy.
     """
 
     per_subcarrier: np.ndarray  # (K, Nr, Nt) complex
-    stacked: np.ndarray  # (Nr*Nt*K,) complex
 
     def __post_init__(self) -> None:
-        k, nr, nt = self.per_subcarrier.shape
-        if self.stacked.shape != (k * nr * nt,):
-            raise ValueError("stacked length inconsistent with per-subcarrier shape")
+        h = np.asarray(self.per_subcarrier, dtype=complex)
+        if h.ndim != 3:
+            raise ValueError("per_subcarrier must have shape (K, Nr, Nt)")
+        buffer = np.ascontiguousarray(h.transpose(0, 2, 1))  # no copy if already laid out
+        object.__setattr__(self, "per_subcarrier", buffer.transpose(0, 2, 1))
+
+    @property
+    def stacked(self) -> np.ndarray:
+        """The (Nr*Nt*K,) stacked channel vector, a view of ``per_subcarrier``."""
+        return self.per_subcarrier.transpose(0, 2, 1).reshape(-1)
 
 
 def steering_vector(angle: float, n: int, spacing: float) -> np.ndarray:
@@ -172,12 +180,11 @@ def sample_channel(
 
 
 def assemble_channel(realization: ChannelRealization, config: SystemConfig) -> ChannelVector:
-    """Build per-subcarrier matrices and the stacked channel vector.
+    """Sum the paths into per-subcarrier matrices ``A_r diag(w_k) A_t^H``.
 
-    The per-subcarrier route multiplies steering matrices around a diagonal
-    of gain-weighted delay phases; the stacked route sums Kronecker columns
-    (the Khatri-Rao form). Both describe the same channel and are kept as
-    independent code paths so tests can cross-check them.
+    ``w_k`` holds each path's gain times its delay phase on subcarrier ``k``.
+    One batched product writes every subcarrier, through a transposed view,
+    into the buffer that is already in stacked-vector order.
     """
     a_r = np.stack(
         [steering_vector(t, config.num_rx, config.rx_spacing_wavelengths) for t in realization.aoas],
@@ -188,14 +195,7 @@ def assemble_channel(realization: ChannelRealization, config: SystemConfig) -> C
         axis=1,
     )
     b = np.stack([delay_response(d, config) for d in realization.delays], axis=1)
-
-    gains = realization.gains
-    per_subcarrier = np.empty(
-        (config.num_subcarriers, config.num_rx, config.num_tx), dtype=complex
-    )
-    for k in range(config.num_subcarriers):
-        per_subcarrier[k] = a_r @ np.diag(gains * b[k, :]) @ a_t.conj().T
-
-    # Khatri-Rao route: one Kronecker column b(tau) x conj(a_t) x a_r per path.
-    stacked = np.einsum("kl,tl,rl,l->ktr", b, a_t.conj(), a_r, gains).ravel()
-    return ChannelVector(per_subcarrier=per_subcarrier, stacked=stacked)
+    weights = b * realization.gains  # (K, L)
+    buffer = np.empty((config.num_subcarriers, config.num_tx, config.num_rx), dtype=complex)
+    np.matmul(a_r * weights[:, None, :], a_t.conj().T, out=buffer.transpose(0, 2, 1))
+    return ChannelVector(per_subcarrier=buffer.transpose(0, 2, 1))

@@ -23,6 +23,13 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
+def _positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--profile", choices=sorted(harness.PROFILES), default="desk",
                         help="built-in parameter profile")
@@ -42,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("design", help="optimize a pilot design")
     _add_common(p)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--trace-every", type=int, default=1,
+    p.add_argument("--trace-every", type=_positive_int, default=1,
                    help="record the trace every N iterations")
 
     p = sub.add_parser("baseline", help="generate the Gaussian+random baseline design")
@@ -77,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated penalty weights, e.g. 0.7,1.5,7")
     p.add_argument("--target-q", type=int, default=None,
                    help="select the run whose allocation size is closest")
-    p.add_argument("--trace-every", type=int, default=10,
+    p.add_argument("--trace-every", type=_positive_int, default=10,
                    help="record traces every N iterations")
     return parser
 

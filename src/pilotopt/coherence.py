@@ -16,7 +16,7 @@ accumulates as a (G_tau^2, G_phi^2) tensor via one matrix product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .errors import CapacityError, DegenerateInputError
 
 __all__ = [
     "DENSE_ENTRY_CAP",
-    "PAIR_COUNT_CAP",
     "PAIR_SUBSAMPLE_SIZE",
     "PilotDesign",
     "CoherenceReport",
@@ -33,10 +32,7 @@ __all__ = [
     "build_omega",
     "build_sensing_matrix",
     "CoherenceEngine",
-    "c_omega",
     "f_omega",
-    "f_psi_reference",
-    "t_p_dictionary",
     "mutual_coherence",
     "generalized_coherence",
     "welch_bound",
@@ -46,8 +42,8 @@ __all__ = [
 # Dense materializations (test oracles, Gram blocks) refuse above this many
 # complex entries (~64 MiB at complex128).
 DENSE_ENTRY_CAP = 1 << 22
-# Off-diagonal pair budget before report CDFs switch to seeded subsampling.
-PAIR_COUNT_CAP = 10_000_000
+# Pair count of the seeded CDF subsample for Omega factors too wide for one
+# Gram block.
 PAIR_SUBSAMPLE_SIZE = 1_000_000
 _PAIR_SAMPLE_SEED = 0x5EED
 
@@ -102,15 +98,8 @@ class PilotDesign:
         k, nt, m = self.blocks.shape
         return self.blocks.transpose(1, 0, 2).reshape(nt, k * m)
 
-    def block_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.blocks, axis=(1, 2))
 
-
-def _blocks_of(design) -> np.ndarray:
-    return design.blocks if isinstance(design, PilotDesign) else np.asarray(design, dtype=complex)
-
-
-def build_omega(design, dicts: DictionarySet) -> np.ndarray:
+def build_omega(blocks: np.ndarray, dicts: DictionarySet) -> np.ndarray:
     """Dense pilot-dependent factor, shape (M*K, G_tau*G_phi).
 
     Column ``j = g_tau * G_phi + g_phi`` stacks, over the K subcarriers,
@@ -118,7 +107,7 @@ def build_omega(design, dicts: DictionarySet) -> np.ndarray:
     participate (the selection matrix is the identity during design);
     zeroed blocks simply contribute zero rows.
     """
-    blocks = _blocks_of(design)
+    blocks = np.asarray(blocks, dtype=complex)
     k, nt, m = blocks.shape
     if nt != dicts.num_tx or k != dicts.num_subcarriers:
         raise ValueError("design dimensions do not match the dictionaries")
@@ -180,32 +169,13 @@ class SensingOperator:
         return np.kron(self.omega, self.a_r)
 
 
-def build_sensing_matrix(
-    design: PilotDesign, dicts: DictionarySet, restrict_to_allocation: bool = True
-) -> SensingOperator:
-    """Assemble the structured sensing operator for a pilot design."""
-    if restrict_to_allocation:
-        if not design.allocation:
-            raise ValueError("design has an empty allocation")
-        selection = design.allocation
-    else:
-        selection = tuple(range(design.num_subcarriers))
-    sel = np.asarray(selection)
-    sub = PilotDesign(
-        blocks=design.blocks[sel],
-        allocation=tuple(range(len(selection))),
-        total_power=design.total_power,
-    )
-    sub_dicts = DictionarySet(
-        theta_grid=dicts.theta_grid,
-        phi_grid=dicts.phi_grid,
-        tau_grid=dicts.tau_grid,
-        a_r=dicts.a_r,
-        a_t=dicts.a_t,
-        b=dicts.b[sel, :],
-    )
-    omega = build_omega(sub, sub_dicts)
-    return SensingOperator(omega=omega, a_r=dicts.a_r, selection=selection)
+def build_sensing_matrix(design: PilotDesign, dicts: DictionarySet) -> SensingOperator:
+    """Assemble the structured sensing operator on the allocated subcarriers."""
+    if not design.allocation:
+        raise ValueError("design has an empty allocation")
+    sel = np.asarray(design.allocation)
+    omega = build_omega(design.blocks[sel], replace(dicts, b=dicts.b[sel]))
+    return SensingOperator(omega=omega, a_r=dicts.a_r, selection=design.allocation)
 
 
 class CoherenceEngine:
@@ -236,18 +206,6 @@ class CoherenceEngine:
     def _abs_sq(c: np.ndarray) -> np.ndarray:
         # |c|^2 without the sqrt of np.abs; the hot loop is bandwidth-bound.
         return c.real**2 + c.imag**2
-
-    def f_value(self, blocks: np.ndarray, p: int) -> float:
-        """Coherence objective: (sum over all index tuples of |c|^p)^(1/p)."""
-        _require_even_p(p)
-        a2 = self._abs_sq(self.gram_tensor(blocks))
-        half = p // 2
-        if half == 2:
-            flat = a2.ravel()
-            v_p = float(flat @ flat)
-        else:
-            v_p = float(np.sum(a2**half))
-        return float(v_p ** (1.0 / p))
 
     def f_value_and_vgrad(self, blocks: np.ndarray, p: int) -> tuple[float, float, np.ndarray]:
         """Return (f, v_p, dv_p/dconj(X)) for the coherence sum v_p = f^p.
@@ -280,62 +238,9 @@ class CoherenceEngine:
         return float(v_p ** (1.0 / p)), v_p, vgrad
 
 
-def c_omega(
-    design, dicts: DictionarySet, g_tau: int, g_tau2: int, g_phi: int, g_phi2: int
-) -> complex:
-    """One Omega Gram entry via the subcarrier-sum formula.
-
-    Computes ``a_t^T(phi) (sum_k conj(b_k) X_k* X_k^T b_k') conj(a_t(phi'))``
-    directly, without building Omega.
-    """
-    blocks = _blocks_of(design)
-    n_tau = dicts.b.shape[1]
-    n_phi = dicts.a_t.shape[1]
-    if not (0 <= g_tau < n_tau and 0 <= g_tau2 < n_tau):
-        raise ValueError("delay grid index out of range")
-    if not (0 <= g_phi < n_phi and 0 <= g_phi2 < n_phi):
-        raise ValueError("AoD grid index out of range")
-    weights = dicts.b[:, g_tau].conj() * dicts.b[:, g_tau2]  # (K,)
-    middle = np.einsum("k,knm,kpm->np", weights, blocks.conj(), blocks)
-    a = dicts.a_t[:, g_phi]
-    a2 = dicts.a_t[:, g_phi2]
-    return complex(a.T @ middle @ a2.conj())
-
-
-def f_omega(design, dicts: DictionarySet, p: int) -> float:
+def f_omega(blocks: np.ndarray, dicts: DictionarySet, p: int) -> float:
     """Coherence objective on the Omega factor (diagonal tuples included)."""
-    return CoherenceEngine(dicts).f_value(_blocks_of(design), p)
-
-
-def t_p_dictionary(a_r: np.ndarray, p: int) -> float:
-    """AoA dictionary coherence: (sum over all column pairs of |a^H a'|^p)^(1/p)."""
-    _require_even_p(p)
-    gram = a_r.conj().T @ a_r
-    return float(np.sum(np.abs(gram) ** p) ** (1.0 / p))
-
-
-def f_psi_reference(
-    design, dicts: DictionarySet, p: int, entry_cap: int = DENSE_ENTRY_CAP
-) -> float:
-    """Full-sensing-matrix objective, computed densely (test oracle).
-
-    Builds ``Psi`` over all K subcarriers and sums |psi_i^H psi_j|^p over
-    every column pair, diagonal included. Refuses configurations whose
-    dense matrix or Gram would exceed ``entry_cap`` entries.
-    """
-    _require_even_p(p)
-    blocks = _blocks_of(design)
-    if not isinstance(design, PilotDesign):
-        design = PilotDesign(
-            blocks=blocks, allocation=tuple(range(blocks.shape[0])), total_power=1.0
-        )
-    op = build_sensing_matrix(design, dicts, restrict_to_allocation=False)
-    n, g = op.shape
-    if g * g > entry_cap:
-        raise CapacityError(f"dense Gram would need {g * g} entries (cap {entry_cap})")
-    psi = op.to_dense(entry_cap)
-    gram = psi.conj().T @ psi
-    return float(np.sum(np.abs(gram) ** p) ** (1.0 / p))
+    return CoherenceEngine(dicts).f_value_and_vgrad(np.asarray(blocks, dtype=complex), p)[0]
 
 
 def _column_norms_checked(matrix: np.ndarray, what: str) -> np.ndarray:
@@ -346,44 +251,69 @@ def _column_norms_checked(matrix: np.ndarray, what: str) -> np.ndarray:
     return norms
 
 
-def _gram_scan(matrix: np.ndarray, norms: np.ndarray, p: int | None) -> tuple[float, float]:
-    """Blockwise pass over the normalized Gram.
+def _gram_scan(
+    matrix: np.ndarray, norms: np.ndarray, p: int | None, pairs: bool = False
+) -> tuple[float, float, np.ndarray | None]:
+    """One blockwise pass over the normalized Gram.
 
     Returns ``(max off-diagonal value, sum of p-th powers over all pairs
-    including the diagonal)``; the power sum is 0.0 when ``p`` is None.
-    Memory stays below DENSE_ENTRY_CAP entries per block.
+    including the diagonal, upper-triangle values)``. The power sum is 0.0
+    when ``p`` is None; the upper-triangle values (``i < j``, row-major) are
+    collected only when ``pairs`` is set, and are None otherwise. Each block
+    holds at most DENSE_ENTRY_CAP entries.
     """
     n = matrix.shape[1]
     chunk = max(1, min(n, DENSE_ENTRY_CAP // max(n, 1)))
     ah = matrix.conj().T
     mu = 0.0
     total = 0.0
+    upper = []
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
         block = np.abs(ah[start:stop] @ matrix)
         block /= np.outer(norms[start:stop], norms)
         if p is not None:
             total += float(np.sum(block**p))
+        if pairs:
+            upper.append(block[np.triu(np.ones(block.shape, dtype=bool), k=start + 1)])
         block[np.arange(start, stop) - start, np.arange(start, stop)] = 0.0
         mu = max(mu, float(block.max()))
-    return mu, total
+    return mu, total, (np.concatenate(upper) if pairs else None)
+
+
+def _kron_scan(
+    op: SensingOperator, p: int | None, pairs: bool = False
+) -> tuple[float, float, np.ndarray, np.ndarray | None]:
+    """Scan each factor Gram of ``Psi = Omega kron A_r`` once.
+
+    The normalized Gram of ``Psi`` is the Kronecker product of the factor
+    Grams, so its largest off-diagonal entry is the larger of the two factor
+    maxima and its all-pairs power sum is the product of the factor sums.
+    Returns ``(mu, all-pairs power sum, Omega column norms, Omega
+    upper-triangle values)``.
+    """
+    omega_norms = _column_norms_checked(op.omega, "the pilot factor")
+    mu_omega, sum_omega, upper = _gram_scan(op.omega, omega_norms, p, pairs)
+    ar_norms = _column_norms_checked(op.a_r, "the AoA dictionary")
+    mu_ar, sum_ar, _ = _gram_scan(op.a_r, ar_norms, p)
+    return min(max(mu_omega, mu_ar), 1.0), sum_omega * sum_ar, omega_norms, upper
+
+
+def _off_diagonal_norm(power_sum: float, n_cols: int, p: int) -> float:
+    # The n_cols diagonal entries of a normalized Gram are exactly 1.
+    return float(max(power_sum - n_cols, 0.0) ** (1.0 / p))
 
 
 def mutual_coherence(matrix_or_operator) -> float:
     """Largest normalized inner product between distinct columns.
 
     Accepts a dense matrix or a :class:`SensingOperator`; the operator case
-    exploits ``Psi = Omega kron A_r``, whose normalized Gram is the
-    Kronecker product of the factor Grams, so the maximum is the larger of
-    the two factor coherences.
+    scans only the two Kronecker factors.
     """
     if isinstance(matrix_or_operator, SensingOperator):
-        op = matrix_or_operator
-        mu_omega, _ = _gram_scan(op.omega, _column_norms_checked(op.omega, "the pilot factor"), None)
-        mu_ar, _ = _gram_scan(op.a_r, _column_norms_checked(op.a_r, "the AoA dictionary"), None)
-        return min(max(mu_omega, mu_ar), 1.0)
+        return _kron_scan(matrix_or_operator, None)[0]
     matrix = np.asarray(matrix_or_operator)
-    mu, _ = _gram_scan(matrix, _column_norms_checked(matrix, "the matrix"), None)
+    mu, _, _ = _gram_scan(matrix, _column_norms_checked(matrix, "the matrix"), None)
     return min(mu, 1.0)
 
 
@@ -391,10 +321,8 @@ def generalized_coherence(matrix: np.ndarray, p: int) -> float:
     """l_p aggregation of the off-diagonal normalized inner products."""
     _require_even_p(p)
     matrix = np.asarray(matrix)
-    norms = _column_norms_checked(matrix, "the matrix")
-    _, total = _gram_scan(matrix, norms, p)
-    off = max(total - matrix.shape[1], 0.0)  # diagonal entries are exactly 1
-    return float(off ** (1.0 / p))
+    _, total, _ = _gram_scan(matrix, _column_norms_checked(matrix, "the matrix"), p)
+    return _off_diagonal_norm(total, matrix.shape[1], p)
 
 
 def welch_bound(n_obs: int, n_atoms: int) -> float:
@@ -432,21 +360,6 @@ class CoherenceReport:
         }
 
 
-def _psi_generalized_from_factors(
-    omega: np.ndarray, a_r: np.ndarray, p: int
-) -> float:
-    """nu_p of the Kronecker product from factor Grams.
-
-    With normalized Grams the all-pairs power sum factorizes; subtracting
-    the G diagonal ones leaves the off-diagonal sum.
-    """
-    _, total_omega = _gram_scan(omega, _column_norms_checked(omega, "the pilot factor"), p)
-    _, total_ar = _gram_scan(a_r, _column_norms_checked(a_r, "the AoA dictionary"), p)
-    g_total = omega.shape[1] * a_r.shape[1]
-    off = max(total_omega * total_ar - g_total, 0.0)
-    return float(off ** (1.0 / p))
-
-
 def _sampled_pair_values(omega: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """Seeded uniform subsample of normalized off-diagonal inner products."""
     n_cols = omega.shape[1]
@@ -468,34 +381,25 @@ def _sampled_pair_values(omega: np.ndarray, norms: np.ndarray) -> np.ndarray:
 def coherence_report(design: PilotDesign, dicts: DictionarySet, p: int) -> CoherenceReport:
     """Evaluate a design: sensing-matrix metrics plus Omega CDF samples.
 
-    The CDFs cover all off-diagonal column pairs of Omega, or a seeded
-    uniform subsample of ``PAIR_SUBSAMPLE_SIZE`` pairs when the pair count
-    exceeds ``PAIR_COUNT_CAP``.
+    One scan per factor Gram yields ``mu``, ``nu_p`` and, when the Omega
+    Gram fits in one DENSE_ENTRY_CAP block, the CDF over all its
+    off-diagonal column pairs; larger factors get a seeded uniform
+    subsample of ``PAIR_SUBSAMPLE_SIZE`` pairs instead.
     """
     _require_even_p(p)
-    op = build_sensing_matrix(design, dicts, restrict_to_allocation=True)
-    omega = op.omega
-    n_cols = omega.shape[1]
-    norms = _column_norms_checked(omega, "the pilot factor")
-
-    n_pairs = n_cols * (n_cols - 1) // 2
-    if n_pairs <= PAIR_COUNT_CAP and n_cols * n_cols <= DENSE_ENTRY_CAP:
-        normalized = np.abs(omega.conj().T @ omega) / np.outer(norms, norms)
-        iu = np.triu_indices(n_cols, k=1)
-        inner = np.sort(normalized[iu])
-    else:
-        inner = np.sort(_sampled_pair_values(omega, norms))
-
-    mu = mutual_coherence(op)
-    nu = _psi_generalized_from_factors(omega, dicts.a_r, p)
+    op = build_sensing_matrix(design, dicts)
     n_obs, n_atoms = op.shape
+    n_cols = op.omega.shape[1]
+    mu, power_sum, norms, inner = _kron_scan(op, p, pairs=n_cols * n_cols <= DENSE_ENTRY_CAP)
+    if inner is None:
+        inner = _sampled_pair_values(op.omega, norms)
     return CoherenceReport(
         mutual_coherence=mu,
-        generalized=nu,
+        generalized=_off_diagonal_norm(power_sum, n_atoms, p),
         p=p,
         welch=welch_bound(n_obs, n_atoms),
         n_obs=n_obs,
         n_atoms=n_atoms,
-        inner_product_cdf=inner,
+        inner_product_cdf=np.sort(inner),
         column_norm_cdf=np.sort(norms),
     )

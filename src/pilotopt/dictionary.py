@@ -21,7 +21,6 @@ __all__ = [
     "build_dictionaries",
     "encode_grid_index",
     "decode_grid_index",
-    "virtual_channel",
 ]
 
 
@@ -34,8 +33,10 @@ class GridSpec:
     g_tau: int
 
     def __post_init__(self) -> None:
-        if min(self.g_theta, self.g_phi, self.g_tau) < 1:
+        if min(self.g_theta, self.g_phi) < 1:
             raise ValueError("grid sizes must be >= 1")
+        if self.g_tau < 2:
+            raise ValueError("g_tau must be >= 2 (delay grid needs two endpoints)")
 
     @property
     def total(self) -> int:
@@ -81,8 +82,6 @@ def make_grids(
     Delays are linear on [0, max_delay_s]. Note the angle grids never reach
     +pi/2; the sine argument tops out at ``1 - 2/G``.
     """
-    if spec.g_tau < 2:
-        raise ValueError("g_tau must be >= 2 (delay grid needs two endpoints)")
     g = np.arange(spec.g_theta)
     theta = np.arcsin(-1.0 + 2.0 * g / spec.g_theta)
     g = np.arange(spec.g_phi)
@@ -121,21 +120,3 @@ def decode_grid_index(g: int, spec: GridSpec) -> tuple[int, int, int]:
     g_theta = g % spec.g_theta
     rest = g // spec.g_theta
     return rest // spec.g_phi, rest % spec.g_phi, g_theta
-
-
-def virtual_channel(dicts: DictionarySet, alpha_virtual: np.ndarray) -> np.ndarray:
-    """Map virtual path gains through B x conj(A_t) x A_r without forming it.
-
-    Returns the stacked channel vector of length Nr*Nt*K. The contraction
-    works on the (G_tau, G_phi, G_theta) reshape of the coefficients, so the
-    full G-column dictionary is never materialized.
-    """
-    spec = dicts.spec
-    alpha_virtual = np.asarray(alpha_virtual)
-    if alpha_virtual.shape != (spec.total,):
-        raise ValueError(f"expected {spec.total} virtual gains, got {alpha_virtual.shape}")
-    cube = alpha_virtual.reshape(spec.g_tau, spec.g_phi, spec.g_theta)
-    out = np.einsum(
-        "kc,tf,rg,cfg->ktr", dicts.b, dicts.a_t.conj(), dicts.a_r, cube, optimize=True
-    )
-    return out.ravel()

@@ -97,15 +97,13 @@ def omp_solve(
     y: np.ndarray,
     operator: SensingOperator,
     max_sparsity: int,
-    residual_tol: float = 0.0,
 ) -> SparseEstimate:
     """Orthogonal matching pursuit with norm-normalized correlations.
 
     Selects at most ``max_sparsity`` distinct atoms, re-solving the least
     squares fit on the active set each iteration, and stops early once the
-    residual drops to ``residual_tol`` (or to the numerical floor relative
-    to ``||y||``). The residual norm is checked to be non-increasing at
-    every step.
+    residual drops to the numerical floor relative to ``||y||``. The
+    residual norm is checked to be non-increasing at every step.
     """
     y = np.asarray(y, dtype=complex)
     n_obs, n_atoms = operator.shape
@@ -119,7 +117,7 @@ def omp_solve(
     norms = operator.column_norms()
     usable = norms > 0
     y_norm = float(np.linalg.norm(y))
-    floor = max(residual_tol, _RESIDUAL_REL_FLOOR * y_norm)
+    floor = _RESIDUAL_REL_FLOOR * y_norm
 
     support: list[int] = []
     coefficients = np.zeros(0, dtype=complex)
@@ -174,10 +172,8 @@ def reconstruct_channel(estimate: SparseEstimate, dicts: DictionarySet) -> Chann
             dicts.a_r[:, g_theta],
         ).ravel()
         stacked += coeff * col
-    per_subcarrier = np.transpose(
-        stacked.reshape(k, n_t, n_r), (0, 2, 1)
-    )  # block k is vec^{-1} (column-major) of its Nr*Nt slice
-    return ChannelVector(per_subcarrier=per_subcarrier, stacked=stacked)
+    # block k is vec^{-1} (column-major) of its Nr*Nt slice
+    return ChannelVector(per_subcarrier=stacked.reshape(k, n_t, n_r).transpose(0, 2, 1))
 
 
 def nmse(h_true: np.ndarray, h_est: np.ndarray) -> float:

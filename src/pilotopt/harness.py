@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -43,7 +45,6 @@ __all__ = [
     "EvaluationConfig",
     "ExperimentConfig",
     "TrialRecord",
-    "profile_config",
     "load_experiment_config",
     "save_design",
     "load_design",
@@ -85,6 +86,10 @@ class EvaluationConfig:
     def __post_init__(self) -> None:
         if not self.snr_db_list:
             raise ValueError("snr_db_list must be non-empty")
+        if not all(math.isfinite(v) for v in self.snr_db_list):
+            raise ValueError("snr_db_list entries must be finite")
+        if len(set(self.snr_db_list)) != len(self.snr_db_list):
+            raise ValueError("snr_db_list entries must be distinct")
         if self.num_trials < 1:
             raise ValueError("num_trials must be >= 1")
         if self.solver not in SOLVERS:
@@ -101,7 +106,6 @@ class ExperimentConfig:
     channel: ChannelModelConfig
     evaluation: EvaluationConfig
     base_seed: int
-    methods: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -149,7 +153,6 @@ _DESK_PROFILE = {
     "solver": "omp",
     "max_sparsity": 3,
     "base_seed": 0,
-    "methods": ("optimized", "gauss_random"),
 }
 
 _PAPER_PROFILE = {
@@ -171,117 +174,54 @@ _PAPER_PROFILE = {
 
 PROFILES = {"desk": _DESK_PROFILE, "paper": _PAPER_PROFILE}
 
-_INT_KEYS = {
-    "num_subcarriers",
-    "num_tx",
-    "num_rx",
-    "seq_len",
-    "num_delay_taps",
-    "g_theta",
-    "g_phi",
-    "g_tau",
-    "p",
-    "iterations",
-    "opt_seed",
-    "num_paths",
-    "num_trials",
-    "max_sparsity",
-    "base_seed",
-}
-_FLOAT_KEYS = {
-    "carrier_freq_hz",
-    "bandwidth_hz",
-    "total_power",
-    "tx_spacing_wavelengths",
-    "rx_spacing_wavelengths",
-    "q",
-    "lambda_bar",
-    "learning_rate",
-    "beta1",
-    "beta2",
-    "eps",
-    "zero_threshold_rel",
-    "rician_k_db",
-}
-_STR_KEYS = {"solver"}
-_FLOAT_LIST_KEYS = {"snr_db_list"}
-_STR_LIST_KEYS = {"methods"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _FLOAT_LIST_KEYS | _STR_LIST_KEYS
+
+def _parse_float_list(raw: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in raw.split(",") if v.strip())
 
 
-def _parse_value(key: str, raw: str):
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _STR_KEYS:
-            return raw
-        if key in _FLOAT_LIST_KEYS:
-            return tuple(float(v) for v in raw.split(",") if v.strip())
-        if key in _STR_LIST_KEYS:
-            return tuple(v.strip() for v in raw.split(",") if v.strip())
-    except ValueError as exc:
-        raise ConfigError(key, f"cannot parse value '{raw}'") from exc
-    raise ConfigError(key, "unknown configuration key")
+_PARSERS = {int: int, float: float, str: str, tuple[float, ...]: _parse_float_list}
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
+# Config keys named differently from their field: (section, field) -> key.
+_ALIASES = {("optimizer", "seed"): "opt_seed"}
+
+
+def _config_keys() -> dict:
+    """Config key -> (ExperimentConfig section or None, field name, parser).
+
+    Every field of a section dataclass is a key, and so is every plain
+    field of ExperimentConfig itself.
+    """
+    keys = {}
+    for section, section_type in _FIELD_TYPES.items():
+        if not is_dataclass(section_type):
+            keys[section] = (None, section, _PARSERS[section_type])
+            continue
+        hints = get_type_hints(section_type)
+        for f in fields(section_type):
+            key = _ALIASES.get((section, f.name), f.name)
+            keys[key] = (section, f.name, _PARSERS[hints[f.name]])
+    return keys
+
+
+_CONFIG_KEYS = _config_keys()
 
 
 def _config_from_values(values: dict) -> ExperimentConfig:
+    sections: dict[str | None, dict] = {None: {}}
+    for key, value in values.items():
+        section, name, _ = _CONFIG_KEYS[key]
+        sections.setdefault(section, {})[name] = value
+    top = sections.pop(None)
     try:
-        system = SystemConfig(
-            carrier_freq_hz=values["carrier_freq_hz"],
-            bandwidth_hz=values["bandwidth_hz"],
-            num_subcarriers=values["num_subcarriers"],
-            num_tx=values["num_tx"],
-            num_rx=values["num_rx"],
-            seq_len=values["seq_len"],
-            total_power=values["total_power"],
-            num_delay_taps=values["num_delay_taps"],
-            tx_spacing_wavelengths=values["tx_spacing_wavelengths"],
-            rx_spacing_wavelengths=values["rx_spacing_wavelengths"],
-        )
-        grids = GridSpec(
-            g_theta=values["g_theta"], g_phi=values["g_phi"], g_tau=values["g_tau"]
-        )
-        opt = OptimizerConfig(
-            p=values["p"],
-            q=values["q"],
-            lambda_bar=values["lambda_bar"],
-            learning_rate=values["learning_rate"],
-            iterations=values["iterations"],
-            beta1=values["beta1"],
-            beta2=values["beta2"],
-            eps=values["eps"],
-            seed=values["opt_seed"],
-            zero_threshold_rel=values["zero_threshold_rel"],
-        )
-        chan = ChannelModelConfig(
-            num_paths=values["num_paths"], rician_k_db=values["rician_k_db"]
-        )
-        ev = EvaluationConfig(
-            snr_db_list=tuple(values["snr_db_list"]),
-            num_trials=values["num_trials"],
-            solver=values["solver"],
-            max_sparsity=values["max_sparsity"],
-        )
+        parts = {name: _FIELD_TYPES[name](**kwargs) for name, kwargs in sections.items()}
     except ValueError as exc:
         raise ConfigError("config", str(exc)) from exc
-    return ExperimentConfig(
-        system=system,
-        grids=grids,
-        optimizer=opt,
-        channel=chan,
-        evaluation=ev,
-        base_seed=values["base_seed"],
-        methods=tuple(values["methods"]),
-    )
+    return ExperimentConfig(**parts, **top)
 
 
 def profile_config(name: str) -> ExperimentConfig:
-    """Built-in parameter profile; ``desk`` is test-sized, ``paper`` full-scale."""
-    if name not in PROFILES:
-        raise ConfigError("profile", f"unknown profile '{name}'")
-    return _config_from_values(dict(PROFILES[name]))
+    """``load_experiment_config(name)``; bench/worker.py builds its configs through it."""
+    return load_experiment_config(name)
 
 
 def load_experiment_config(
@@ -289,7 +229,10 @@ def load_experiment_config(
     config_path: str | Path | None = None,
     seed_override: int | None = None,
 ) -> ExperimentConfig:
-    """Merge a profile with optional file overrides and a seed override."""
+    """Merge a profile with optional file overrides and a seed override.
+
+    ``desk`` is test-sized, ``paper`` full-scale.
+    """
     if profile not in PROFILES:
         raise ConfigError("profile", f"unknown profile '{profile}'")
     values = dict(PROFILES[profile])
@@ -304,9 +247,12 @@ def load_experiment_config(
             if "=" not in text:
                 raise ConfigError("config", f"line {line_no} is not 'key = value': {line!r}")
             key, raw = (part.strip() for part in text.split("=", 1))
-            if key not in _ALL_KEYS:
+            if key not in _CONFIG_KEYS:
                 raise ConfigError(key, "unknown configuration key")
-            values[key] = _parse_value(key, raw)
+            try:
+                values[key] = _CONFIG_KEYS[key][2](raw)
+            except ValueError as exc:
+                raise ConfigError(key, f"cannot parse value '{raw}'") from exc
     if seed_override is not None:
         values["base_seed"] = int(seed_override)
         values["opt_seed"] = int(seed_override)
@@ -333,7 +279,7 @@ def save_design(design: PilotDesign, path: str | Path) -> None:
 
 
 def load_design(path: str | Path) -> PilotDesign:
-    """Read a design JSON, validating shape and power consistency."""
+    """Read a design JSON, validating shape, values, allocation and power."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError("design", f"no such design file: {path}")
@@ -342,18 +288,31 @@ def load_design(path: str | Path) -> PilotDesign:
     except json.JSONDecodeError as exc:
         raise ConfigError("design", f"malformed JSON in {path}: {exc}") from exc
     try:
-        k, m, nt, pt = payload["K"], payload["M"], payload["Nt"], payload["Pt"]
-        full = np.asarray(payload["x_real"]) + 1j * np.asarray(payload["x_imag"])
+        k, m, nt = int(payload["K"]), int(payload["M"]), int(payload["Nt"])
+        pt = float(payload["Pt"])
+        full = np.asarray(payload["x_real"], dtype=float) + 1j * np.asarray(
+            payload["x_imag"], dtype=float
+        )
         allocation = tuple(int(v) for v in payload["allocation"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError("design", f"missing or invalid field in {path}: {exc}") from exc
     if full.shape != (nt, k * m):
         raise ConfigError("design", f"pilot matrix shape {full.shape} != ({nt}, {k * m})")
+    if not (np.all(np.isfinite(full)) and math.isfinite(pt)):
+        raise ConfigError("design", f"non-finite pilot entries or Pt in {path}")
     blocks = full.reshape(nt, k, m).transpose(1, 0, 2)
+    try:
+        design = PilotDesign(blocks=blocks, allocation=allocation, total_power=pt)
+    except ValueError as exc:
+        raise ConfigError("design", f"{exc} in {path}") from exc
+    outside = np.ones(k, dtype=bool)
+    outside[list(allocation)] = False
+    if np.any(blocks[outside] != 0):
+        raise ConfigError("design", f"nonzero pilot blocks outside the allocation in {path}")
     power = float(np.sum(np.abs(blocks) ** 2))
     if abs(power - pt) > 1e-9 * max(pt, 1.0):
         raise ConfigError("design", f"stored power {power} != declared Pt {pt}")
-    return PilotDesign(blocks=blocks, allocation=allocation, total_power=float(pt))
+    return design
 
 
 def save_trace(trace: OptimizationTrace, path: str | Path) -> None:
@@ -479,6 +438,11 @@ def run_estimate(
             raise ConfigError(tag, "duplicate method tag among design files")
         design = load_design(p)
         _check_design_compat(cfg, tag, design)
+        n_obs = cfg.system.num_rx * cfg.system.seq_len * len(design.allocation)
+        if cfg.evaluation.max_sparsity > n_obs:
+            raise ConfigError(
+                tag, f"max_sparsity {cfg.evaluation.max_sparsity} exceeds the {n_obs} observations"
+            )
         designs.append((tag, design))
     if not designs:
         raise ConfigError("designs", "at least one design is required")

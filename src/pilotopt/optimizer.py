@@ -14,8 +14,7 @@ gradient magnitudes so updates are equivariant to global phase rotations.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -77,14 +76,13 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizationTrace:
-    """Recorded loss terms per iteration plus run metadata."""
+    """Recorded loss terms per iteration."""
 
     iterations: np.ndarray
     loss: np.ndarray
     f_term: np.ndarray
     g_term: np.ndarray
     grad_norm: np.ndarray
-    elapsed_s: float = 0.0
 
 
 def block_penalty(blocks: np.ndarray, q: float) -> float:
@@ -93,24 +91,6 @@ def block_penalty(blocks: np.ndarray, q: float) -> float:
         raise ValueError("q must lie in (0, 1]")
     norms = np.linalg.norm(blocks, axis=(1, 2))
     return float(np.sum(norms**q) ** (1.0 / q))
-
-
-def _loss_terms(
-    blocks: np.ndarray, engine: CoherenceEngine, cfg: OptimizerConfig
-) -> tuple[float, float, float]:
-    """(loss, f term, penalty term) of the power-normalized objective."""
-    total = float(np.linalg.norm(blocks))
-    if total == 0.0:
-        raise DegenerateInputError("pilot variable is identically zero")
-    f_val = engine.f_value(blocks, cfg.p)
-    f_term = f_val / total**2
-    g_term = cfg.lambda_bar * block_penalty(blocks, cfg.q) / total
-    return f_term + g_term, f_term, g_term
-
-
-def loss(blocks: np.ndarray, dicts: DictionarySet, cfg: OptimizerConfig) -> float:
-    """Scale-invariant design loss L(X) at the given pilot blocks."""
-    return _loss_terms(np.asarray(blocks, dtype=complex), CoherenceEngine(dicts), cfg)[0]
 
 
 def _gradient(
@@ -129,7 +109,7 @@ def _gradient(
     g_term = 0.0
     if cfg.lambda_bar > 0:
         norms = np.linalg.norm(blocks, axis=(1, 2))
-        g_val = float(np.sum(norms**cfg.q) ** (1.0 / cfg.q))
+        g_val = block_penalty(blocks, cfg.q)
         g_term = cfg.lambda_bar * g_val / total
         safe = np.maximum(norms, _BLOCK_NORM_FLOOR)
         # Minimal-norm subgradient: exactly-zero blocks contribute nothing.
@@ -138,6 +118,11 @@ def _gradient(
         grad = grad + cfg.lambda_bar * coeff[:, None, None] * blocks
 
     return grad, f_term + g_term, f_term, g_term
+
+
+def loss(blocks: np.ndarray, dicts: DictionarySet, cfg: OptimizerConfig) -> float:
+    """Scale-invariant design loss L(X) at the given pilot blocks."""
+    return _gradient(np.asarray(blocks, dtype=complex), CoherenceEngine(dicts), cfg)[1]
 
 
 def loss_gradient(
@@ -201,55 +186,35 @@ def optimize(
         raise ValueError("initial blocks must have shape (K, Nt, M)")
     if float(np.linalg.norm(x)) == 0.0:
         raise DegenerateInputError("initial pilot variable is identically zero")
+    if trace_every < 1:
+        raise ValueError("trace_every must be >= 1")
     engine = CoherenceEngine(dicts)
 
     m = np.zeros_like(x)
     v = np.zeros(x.shape)
-    rec_it: list[int] = []
-    rec_loss: list[float] = []
-    rec_f: list[float] = []
-    rec_g: list[float] = []
-    rec_gn: list[float] = []
-    start = time.perf_counter()
+    records: list[tuple[int, float, float, float, float]] = []
 
-    for t in range(cfg.iterations):
+    # Pass t evaluates the iterate after t Adam steps; pass T, the final
+    # state, is recorded but not stepped from.
+    for t in range(cfg.iterations + 1):
         grad, loss_val, f_term, g_term = _gradient(x, engine, cfg)
         if not np.isfinite(loss_val):
             raise OptimizationDivergenceError(t, "loss is not finite")
         if not np.all(np.isfinite(grad)):
             raise OptimizationDivergenceError(t, "gradient is not finite")
-        if t % trace_every == 0 or t == cfg.iterations - 1:
-            rec_it.append(t)
-            rec_loss.append(loss_val)
-            rec_f.append(f_term)
-            rec_g.append(g_term)
-            rec_gn.append(float(np.linalg.norm(grad)))
+        if t % trace_every == 0 or t >= cfg.iterations - 1:
+            records.append((t, loss_val, f_term, g_term, float(np.linalg.norm(grad))))
+        if t == cfg.iterations:
+            break
         m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
         v = cfg.beta2 * v + (1.0 - cfg.beta2) * np.abs(grad) ** 2
         m_hat = m / (1.0 - cfg.beta1 ** (t + 1))
         v_hat = v / (1.0 - cfg.beta2 ** (t + 1))
         x = x - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
 
-    # Final state, recorded at index T.
-    grad, loss_val, f_term, g_term = _gradient(x, engine, cfg)
-    if not np.isfinite(loss_val):
-        raise OptimizationDivergenceError(cfg.iterations, "loss is not finite")
-    rec_it.append(cfg.iterations)
-    rec_loss.append(loss_val)
-    rec_f.append(f_term)
-    rec_g.append(g_term)
-    rec_gn.append(float(np.linalg.norm(grad)))
-
     scaled = np.sqrt(total_power) / float(np.linalg.norm(x)) * x
     design = extract_allocation(scaled, cfg.zero_threshold_rel, total_power)
-    trace = OptimizationTrace(
-        iterations=np.asarray(rec_it),
-        loss=np.asarray(rec_loss),
-        f_term=np.asarray(rec_f),
-        g_term=np.asarray(rec_g),
-        grad_norm=np.asarray(rec_gn),
-        elapsed_s=time.perf_counter() - start,
-    )
+    trace = OptimizationTrace(*(np.asarray(column) for column in zip(*records)))
     return design, trace
 
 
@@ -290,18 +255,7 @@ def sweep_lambda(
         raise ValueError("lambda_values must be non-empty")
     rows = []
     for i, lam in enumerate(values):
-        run_cfg = OptimizerConfig(
-            p=cfg.p,
-            q=cfg.q,
-            lambda_bar=lam,
-            learning_rate=cfg.learning_rate,
-            iterations=cfg.iterations,
-            beta1=cfg.beta1,
-            beta2=cfg.beta2,
-            eps=cfg.eps,
-            seed=cfg.seed,
-            zero_threshold_rel=cfg.zero_threshold_rel,
-        )
+        run_cfg = replace(cfg, lambda_bar=lam)
         x0 = gaussian_init(dicts.num_subcarriers, dicts.num_tx, seq_len, (cfg.seed, i))
         design, trace = optimize(x0, dicts, run_cfg, total_power, trace_every=trace_every)
         mu = mutual_coherence(build_sensing_matrix(design, dicts))

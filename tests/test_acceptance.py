@@ -23,12 +23,11 @@ from pilotopt import (
     build_dictionaries,
     build_omega,
     build_sensing_matrix,
-    c_omega,
     coherence_report,
     decode_grid_index,
     f_omega,
-    f_psi_reference,
     gaussian_init,
+    load_experiment_config,
     loss,
     loss_gradient,
     make_baseline_design,
@@ -37,15 +36,15 @@ from pilotopt import (
     nmse,
     omp_solve,
     optimize,
-    profile_config,
     reconstruct_channel,
     run_estimate,
     save_design,
     synthesize_measurement,
-    t_p_dictionary,
     welch_bound,
 )
 from pilotopt.cli import main as cli_main
+
+from oracles import c_omega, f_psi_reference, t_p_dictionary
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -55,7 +54,7 @@ def _report(name: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def desk():
-    cfg = profile_config("desk")
+    cfg = load_experiment_config("desk")
     dicts = build_dictionaries(cfg.grids, cfg.system)
     return cfg, dicts
 
@@ -220,7 +219,7 @@ def test_criterion_06_sparsity_control(desk):
     reason="full-scale run takes hours; set PILOTOPT_PAPER_SCALE=1 to enable",
 )
 def test_criterion_06_long_run_full_scale():
-    cfg = profile_config("paper")
+    cfg = load_experiment_config("paper")
     dicts = build_dictionaries(cfg.grids, cfg.system)
     opt = dataclasses.replace(cfg.optimizer, lambda_bar=1.5)
     x0 = gaussian_init(

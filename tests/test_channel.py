@@ -13,6 +13,8 @@ from pilotopt import (
     subcarrier_offsets,
 )
 
+from oracles import khatri_rao_channel
+
 
 def small_config(**overrides):
     base = dict(
@@ -181,6 +183,21 @@ class TestAssembleChannel:
             [h.per_subcarrier[k].ravel(order="F") for k in range(cfg.num_subcarriers)]
         )
         np.testing.assert_allclose(h.stacked, expected, rtol=1e-12, atol=1e-12)
+
+    def test_matches_khatri_rao_oracle(self):
+        for seed, paths in ((41, 1), (42, 3), (43, 8)):
+            cfg = small_config(num_tx=5, num_rx=3)
+            r = sample_channel(cfg, paths, 10.0, seed)
+            h = assemble_channel(r, cfg)
+            expected = khatri_rao_channel(r, cfg)
+            np.testing.assert_allclose(h.stacked, expected, rtol=1e-12, atol=1e-12)
+
+    def test_stacked_is_a_view_of_per_subcarrier(self):
+        cfg = small_config()
+        h = assemble_channel(sample_channel(cfg, 3, 10.0, 44), cfg)
+        assert np.shares_memory(h.stacked, h.per_subcarrier)
+        assert h.per_subcarrier.shape == (cfg.num_subcarriers, cfg.num_rx, cfg.num_tx)
+        assert h.stacked.shape == (cfg.num_subcarriers * cfg.num_rx * cfg.num_tx,)
 
     def test_elementwise_oracle(self):
         # brute-force sum over paths, one scalar entry at a time

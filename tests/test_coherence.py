@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pilotopt import coherence
 from pilotopt import (
     CapacityError,
     DegenerateInputError,
@@ -10,17 +11,16 @@ from pilotopt import (
     build_dictionaries,
     build_omega,
     build_sensing_matrix,
-    c_omega,
     coherence_report,
     f_omega,
-    f_psi_reference,
     generalized_coherence,
+    load_experiment_config,
     make_baseline_design,
     mutual_coherence,
-    profile_config,
-    t_p_dictionary,
     welch_bound,
 )
+
+from oracles import c_omega, f_psi_reference, t_p_dictionary
 
 # AoA dictionary coherence on the full-scale grid (G_theta = 16, Nr = 8,
 # p = 4), frozen from a direct double-sum evaluation.
@@ -199,7 +199,7 @@ class TestTPDictionary:
         assert t_p_dictionary(d.a_r, 4) == pytest.approx(expected, rel=1e-12)
 
     def test_full_grid_regression_value(self):
-        cfg = profile_config("paper")
+        cfg = load_experiment_config("paper")
         d = build_dictionaries(cfg.grids, cfg.system)
         assert t_p_dictionary(d.a_r, 4) == pytest.approx(T_P_FULL_GRID, rel=1e-12)
 
@@ -288,9 +288,10 @@ class TestSensingOperator:
         for k in allocation:
             masked[k] = blocks[k]
         design = PilotDesign(blocks=masked, allocation=allocation, total_power=1.0)
-        op = build_sensing_matrix(design, dicts, restrict_to_allocation=True)
+        op = build_sensing_matrix(design, dicts)
         assert op.shape == (cfg.num_rx * cfg.seq_len * 3, spec.total)
-        full = build_sensing_matrix(design, dicts, restrict_to_allocation=False)
+        everywhere = PilotDesign(blocks=masked, allocation=tuple(range(8)), total_power=1.0)
+        full = build_sensing_matrix(everywhere, dicts)
         assert full.shape[0] == cfg.num_rx * cfg.seq_len * 8
         # unallocated rows of the unrestricted operator are zero
         dense_full = full.to_dense()
@@ -305,7 +306,7 @@ class TestSensingOperator:
         _, _, dicts, blocks = small_setup()
         with pytest.raises(ValueError):
             design = PilotDesign(blocks=np.zeros_like(blocks), allocation=(), total_power=1.0)
-            build_sensing_matrix(design, dicts, restrict_to_allocation=True)
+            build_sensing_matrix(design, dicts)
 
     def test_gram_factorization_entrywise(self):
         # psi_g^H psi_g' = c_omega * (a_r^H a_r'), checked on the dense matrix
@@ -373,7 +374,7 @@ class TestCoherenceReport:
         )
 
     def test_report_fields_and_welch_inequality(self):
-        cfg = profile_config("desk")
+        cfg = load_experiment_config("desk")
         dicts = build_dictionaries(cfg.grids, cfg.system)
         design = make_baseline_design(cfg, 6, 0)
         report = coherence_report(design, dicts, 4)
@@ -389,8 +390,45 @@ class TestCoherenceReport:
 
     def test_generalized_matches_dense_psi(self):
         _, _, dicts, blocks = small_setup(19)
+        for allocation in (tuple(range(8)), (0, 3, 5)):
+            masked = np.zeros_like(blocks)
+            masked[list(allocation)] = blocks[list(allocation)]
+            design = PilotDesign(blocks=masked, allocation=allocation, total_power=1.0)
+            op = build_sensing_matrix(design, dicts)
+            psi = op.to_dense()
+            for p in (2, 4, 6):
+                report = coherence_report(design, dicts, p)
+                assert report.generalized == pytest.approx(
+                    generalized_coherence(psi, p), rel=1e-9
+                )
+                assert report.mutual_coherence == pytest.approx(mutual_coherence(psi), abs=1e-12)
+                assert report.mutual_coherence == mutual_coherence(op)
+
+    def test_cdf_holds_every_off_diagonal_omega_pair(self):
+        _, _, dicts, blocks = small_setup(20)
         design = PilotDesign(blocks=blocks, allocation=tuple(range(8)), total_power=1.0)
         report = coherence_report(design, dicts, 4)
-        psi = build_sensing_matrix(design, dicts).to_dense()
-        assert report.generalized == pytest.approx(generalized_coherence(psi, 4), rel=1e-9)
-        assert report.mutual_coherence == pytest.approx(mutual_coherence(psi), abs=1e-12)
+        omega = build_omega(blocks, dicts)
+        norms = np.linalg.norm(omega, axis=0)
+        normalized = np.abs(omega.conj().T @ omega) / np.outer(norms, norms)
+        expected = np.sort(normalized[np.triu_indices(omega.shape[1], k=1)])
+        np.testing.assert_allclose(report.inner_product_cdf, expected, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(report.column_norm_cdf, np.sort(norms), rtol=1e-12)
+
+    def test_blockwise_scan_and_sampled_cdf(self, monkeypatch):
+        # A small block cap splits every Gram scan into row blocks and sends
+        # the CDF down the seeded-subsample path.
+        _, _, dicts, blocks = small_setup(21)
+        design = PilotDesign(blocks=blocks, allocation=(1, 2, 6), total_power=1.0)
+        whole = coherence_report(design, dicts, 4)
+        monkeypatch.setattr(coherence, "DENSE_ENTRY_CAP", 100)
+        monkeypatch.setattr(coherence, "PAIR_SUBSAMPLE_SIZE", 500)
+        split = coherence_report(design, dicts, 4)
+        assert split.mutual_coherence == pytest.approx(whole.mutual_coherence, rel=1e-12)
+        assert split.generalized == pytest.approx(whole.generalized, rel=1e-12)
+        assert split.inner_product_cdf.size == 500
+        assert np.all(np.diff(split.inner_product_cdf) >= 0)
+        assert split.inner_product_cdf.max() <= whole.inner_product_cdf.max() * (1 + 1e-12)
+        assert split.inner_product_cdf.min() >= whole.inner_product_cdf.min() * (1 - 1e-12)
+        again = coherence_report(design, dicts, 4)
+        np.testing.assert_array_equal(again.inner_product_cdf, split.inner_product_cdf)

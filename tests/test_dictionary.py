@@ -12,8 +12,9 @@ from pilotopt import (
     encode_grid_index,
     make_grids,
     steering_vector,
-    virtual_channel,
 )
+
+from oracles import virtual_channel
 
 
 def small_config(**overrides):

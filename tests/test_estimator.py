@@ -22,6 +22,8 @@ from pilotopt import (
     synthesize_measurement,
 )
 
+from oracles import virtual_channel
+
 
 def small_config(**overrides):
     base = dict(
@@ -77,8 +79,7 @@ class TestSynthesizeMeasurement:
     def test_zero_channel_zero_noise(self):
         cfg, _, _, design = orthogonal_setup()
         h = on_grid_channel(*_pick_one())
-        zero = type(h)(per_subcarrier=np.zeros_like(h.per_subcarrier),
-                       stacked=np.zeros_like(h.stacked))
+        zero = type(h)(per_subcarrier=np.zeros_like(h.per_subcarrier))
         meas = synthesize_measurement(zero, design, 0.0, 0)
         np.testing.assert_array_equal(meas.y, 0.0)
 
@@ -105,8 +106,7 @@ class TestSynthesizeMeasurement:
         h1 = on_grid_channel(dicts, spec, [3], [1.0], cfg)
         h2 = on_grid_channel(dicts, spec, [9], [2.0j], cfg)
         both = on_grid_channel(dicts, spec, [3, 9], [1.0, 2.0j], cfg)
-        zero = type(h1)(per_subcarrier=np.zeros_like(h1.per_subcarrier),
-                        stacked=np.zeros_like(h1.stacked))
+        zero = type(h1)(per_subcarrier=np.zeros_like(h1.per_subcarrier))
         y = lambda h: synthesize_measurement(h, design, 0.3, 7).y
         noise = y(zero)
         np.testing.assert_allclose(
@@ -232,6 +232,26 @@ class TestReconstructChannel:
         est = omp_solve(meas.y, op, max_sparsity=true_l)
         h_hat = reconstruct_channel(est, dicts)
         assert nmse(h.stacked, h_hat.stacked) <= 1e-10
+
+    def test_matches_virtual_channel_on_random_support(self):
+        _, spec, dicts, _ = orthogonal_setup()
+        from pilotopt import SparseEstimate
+
+        rng = np.random.default_rng(11)
+        support = tuple(int(g) for g in rng.choice(spec.total, 5, replace=False))
+        coeffs = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        est = SparseEstimate(support=support, coefficients=coeffs, residual_norm=0.0)
+        h = reconstruct_channel(est, dicts)
+        alpha = np.zeros(spec.total, dtype=complex)
+        alpha[list(support)] = coeffs
+        np.testing.assert_allclose(
+            h.stacked, virtual_channel(dicts, alpha), rtol=1e-12, atol=1e-12
+        )
+        # per_subcarrier is the column-major inverse vec of each stacked slice
+        nr, nt = dicts.num_rx, dicts.num_tx
+        for k in range(dicts.num_subcarriers):
+            block = h.stacked[k * nr * nt : (k + 1) * nr * nt].reshape(nr, nt, order="F")
+            np.testing.assert_array_equal(h.per_subcarrier[k], block)
 
     def test_invalid_support_rejected(self):
         _, spec, dicts, _ = orthogonal_setup()

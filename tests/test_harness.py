@@ -12,7 +12,6 @@ from pilotopt import (
     load_experiment_config,
     make_baseline_design,
     median_difference_ci,
-    profile_config,
     run_baseline,
     run_design,
     run_estimate,
@@ -42,7 +41,7 @@ def tiny_cfg(tmp_path):
 class TestConfigLoading:
     def test_profiles_are_valid(self):
         for name in ("desk", "paper"):
-            cfg = profile_config(name)
+            cfg = load_experiment_config(name)
             assert cfg.evaluation.num_trials >= 1
             assert cfg.grids.total >= 1
 
@@ -89,7 +88,7 @@ class TestConfigLoading:
 
 class TestDesignPersistence:
     def test_round_trip(self, tmp_path):
-        cfg = profile_config("desk")
+        cfg = load_experiment_config("desk")
         design = make_baseline_design(cfg, 5, 0)
         path = tmp_path / "d.json"
         save_design(design, path)
@@ -99,7 +98,7 @@ class TestDesignPersistence:
         assert loaded.total_power == design.total_power
 
     def test_schema_keys(self, tmp_path):
-        cfg = profile_config("desk")
+        cfg = load_experiment_config("desk")
         design = make_baseline_design(cfg, 4, 0)
         path = tmp_path / "d.json"
         save_design(design, path)
@@ -109,7 +108,7 @@ class TestDesignPersistence:
         assert len(payload["x_real"][0]) == design.num_subcarriers * design.seq_len
 
     def test_corrupted_power_rejected(self, tmp_path):
-        cfg = profile_config("desk")
+        cfg = load_experiment_config("desk")
         design = make_baseline_design(cfg, 4, 0)
         path = tmp_path / "d.json"
         save_design(design, path)
@@ -125,33 +124,67 @@ class TestDesignPersistence:
         with pytest.raises(ConfigError):
             load_design(path)
 
+    @staticmethod
+    def _corrupt(tmp_path, change):
+        cfg = load_experiment_config("desk")
+        path = tmp_path / "d.json"
+        save_design(make_baseline_design(cfg, 4, 0), path)
+        payload = json.loads(path.read_text())
+        change(payload)
+        path.write_text(json.dumps(payload))
+        return path
+
+    def test_out_of_range_allocation_rejected(self, tmp_path):
+        def change(payload):
+            payload["allocation"][-1] = payload["K"]
+
+        with pytest.raises(ConfigError, match="out of range"):
+            load_design(self._corrupt(tmp_path, change))
+
+    def test_nan_pilot_entry_rejected(self, tmp_path):
+        def change(payload):
+            payload["x_real"][0][0] = float("nan")
+
+        with pytest.raises(ConfigError, match="non-finite"):
+            load_design(self._corrupt(tmp_path, change))
+
+    def test_nonzero_block_outside_allocation_rejected(self, tmp_path):
+        def change(payload):
+            # move one allocated subcarrier's index to an unallocated slot,
+            # leaving its nonzero block outside the allocation
+            unused = sorted(set(range(payload["K"])) - set(payload["allocation"]))
+            payload["allocation"] = sorted(payload["allocation"][1:] + [unused[0]])
+
+        with pytest.raises(ConfigError, match="outside the allocation"):
+            load_design(self._corrupt(tmp_path, change))
+
 
 class TestBaseline:
     def test_full_allocation(self):
-        cfg = profile_config("desk")
+        cfg = load_experiment_config("desk")
         design = make_baseline_design(cfg, cfg.system.num_subcarriers, 0)
         assert design.allocation == tuple(range(cfg.system.num_subcarriers))
 
     def test_seeded_reproducibility(self):
-        cfg = profile_config("desk")
+        cfg = load_experiment_config("desk")
         a = make_baseline_design(cfg, 6, 42)
         b = make_baseline_design(cfg, 6, 42)
         np.testing.assert_array_equal(a.blocks, b.blocks)
         assert a.allocation == b.allocation
 
     def test_power_normalization(self):
-        cfg = profile_config("desk")
+        cfg = load_experiment_config("desk")
         design = make_baseline_design(cfg, 6, 1)
         assert float(np.sum(np.abs(design.blocks) ** 2)) == pytest.approx(
             cfg.system.total_power, rel=1e-10
         )
 
     def test_allocation_size(self):
-        cfg = profile_config("desk")
+        cfg = load_experiment_config("desk")
         assert len(make_baseline_design(cfg, 9, 3).allocation) == 9
 
     def test_oversized_target_rejected(self):
-        cfg = profile_config("desk")
+        cfg = load_experiment_config("desk")
         with pytest.raises(ValueError):
             make_baseline_design(cfg, cfg.system.num_subcarriers + 1, 0)
 
@@ -220,7 +253,7 @@ class TestRunEstimate:
         assert out["trials"].exists()
 
     def test_dimension_mismatch_rejected(self, tiny_cfg, tmp_path):
-        paper_cfg = profile_config("paper")
+        paper_cfg = load_experiment_config("paper")
         foreign = make_baseline_design(paper_cfg, 9, 0)
         path = tmp_path / "design_foreign.json"
         save_design(foreign, path)
@@ -341,6 +374,29 @@ class TestCli:
         rc = main(["design", "--profile", "desk", "--config", str(tmp_path / "none.cfg"),
                    "--out", str(tmp_path / "x")])
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["design", "sweep-lambda"])
+    def test_zero_trace_every_exit_code(self, tmp_path, command):
+        argv = [command, "--out", str(tmp_path / "x"), "--trace-every", "0"]
+        if command == "sweep-lambda":
+            argv += ["--lambdas", "1.0"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "override",
+        ["g_tau = 1", "max_sparsity = 100000", "snr_db_list = nan", "snr_db_list = 10, 10"],
+    )
+    def test_invalid_config_value_exit_code(self, tmp_path, override):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(TINY_OVERRIDES + override + "\n")
+        design = tmp_path / "design_gauss.json"
+        save_design(make_baseline_design(load_experiment_config("desk"), 4, 0), design)
+        rc = main(["estimate", "--config", str(cfg_file), "--out", str(tmp_path / "e"),
+                   "--designs", str(design)])
+        assert rc == 2
+        assert not (tmp_path / "e" / "trials.csv").exists()
 
     def test_missing_design_exit_code(self, tmp_path):
         rc = main(["report", "--profile", "desk", "--design", str(tmp_path / "none.json"),
