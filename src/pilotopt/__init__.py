@@ -47,7 +47,6 @@ from .errors import (
     PilotOptError,
 )
 from .estimator import (
-    MeasurementSet,
     SparseEstimate,
     nmse,
     omp_solve,
@@ -59,7 +58,6 @@ from .harness import (
     ChannelModelConfig,
     EvaluationConfig,
     ExperimentConfig,
-    TrialRecord,
     load_design,
     load_experiment_config,
     make_baseline_design,
@@ -75,15 +73,12 @@ from .harness import (
 from .optimizer import (
     OptimizationTrace,
     OptimizerConfig,
-    SweepOutcome,
-    SweepRow,
     block_penalty,
     extract_allocation,
     gaussian_init,
     loss,
     loss_gradient,
     optimize,
-    sweep_lambda,
 )
 
 __version__ = "0.1.0"

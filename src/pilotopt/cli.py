@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .errors import ConfigError, DegenerateDesignError, OptimizationDivergenceError
@@ -28,6 +29,15 @@ def _positive_int(raw: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _weights(raw: str) -> list[float]:
+    values = [float(v) for v in raw.split(",") if v.strip()]
+    if not values or not all(math.isfinite(v) and v >= 0 for v in values):
+        raise argparse.ArgumentTypeError(
+            f"need one or more finite non-negative weights, got {raw!r}"
+        )
+    return values
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -63,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--designs", nargs="+", required=True, help="design JSON files")
-    p.add_argument("--threads", type=int, default=1, help="worker threads for trials")
+    p.add_argument("--threads", type=_positive_int, default=1,
+                   help="worker threads for trials")
     p.add_argument("--allow-mixed", action="store_true",
                    help="permit designs with different allocation sizes")
     p.add_argument("--timing", action="store_true",
@@ -80,12 +91,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-lambda", help="scan the block-sparsity weight")
     _add_common(p)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--lambdas", required=True,
+    p.add_argument("--lambdas", type=_weights, required=True,
                    help="comma-separated penalty weights, e.g. 0.7,1.5,7")
     p.add_argument("--target-q", type=int, default=None,
                    help="select the run whose allocation size is closest")
-    p.add_argument("--trace-every", type=_positive_int, default=10,
-                   help="record traces every N iterations")
     return parser
 
 
@@ -132,13 +141,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(f"all {len(results)} gradient checks passed")
         return EXIT_OK
     if args.command == "sweep-lambda":
-        try:
-            lambdas = [float(v) for v in args.lambdas.split(",") if v.strip()]
-        except ValueError as exc:
-            raise ConfigError("lambdas", f"cannot parse '{args.lambdas}'") from exc
-        paths = harness.run_sweep(
-            cfg, lambdas, args.out, target_q=args.target_q, trace_every=args.trace_every
-        )
+        paths = harness.run_sweep(cfg, args.lambdas, args.out, target_q=args.target_q)
         print(f"sweep table written to {paths['table']}")
         return EXIT_OK
     raise AssertionError(f"unhandled command {args.command}")

@@ -126,10 +126,9 @@ class SensingOperator:
     when unrestricted), so ``shape = (Nr*M*Q, G)``.
     """
 
-    def __init__(self, omega: np.ndarray, a_r: np.ndarray, selection: tuple[int, ...]):
+    def __init__(self, omega: np.ndarray, a_r: np.ndarray):
         self.omega = omega
         self.a_r = a_r
-        self.selection = selection
         self._col_norms: np.ndarray | None = None
 
     @property
@@ -175,7 +174,7 @@ def build_sensing_matrix(design: PilotDesign, dicts: DictionarySet) -> SensingOp
         raise ValueError("design has an empty allocation")
     sel = np.asarray(design.allocation)
     omega = build_omega(design.blocks[sel], replace(dicts, b=dicts.b[sel]))
-    return SensingOperator(omega=omega, a_r=dicts.a_r, selection=design.allocation)
+    return SensingOperator(omega=omega, a_r=dicts.a_r)
 
 
 class CoherenceEngine:

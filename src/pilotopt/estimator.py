@@ -18,7 +18,6 @@ from .dictionary import DictionarySet, decode_grid_index
 from .errors import DegenerateInputError
 
 __all__ = [
-    "MeasurementSet",
     "SparseEstimate",
     "SOLVERS",
     "synthesize_measurement",
@@ -32,22 +31,6 @@ logger = logging.getLogger(__name__)
 
 # Residuals below this fraction of ||y|| count as exactly recovered.
 _RESIDUAL_REL_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class MeasurementSet:
-    """Stacked noisy pilot observation and its provenance."""
-
-    y: np.ndarray  # (Nr * M * Q,) complex
-    sigma2: float
-    allocation: tuple[int, ...]
-    design: PilotDesign
-
-    def __post_init__(self) -> None:
-        q = len(self.allocation)
-        m = self.design.seq_len
-        if q and self.y.size % (m * q) != 0:
-            raise ValueError("measurement length inconsistent with M and Q")
 
 
 @dataclass(frozen=True)
@@ -67,11 +50,12 @@ class SparseEstimate:
 
 def synthesize_measurement(
     h: ChannelVector, design: PilotDesign, sigma2: float, rng_seed
-) -> MeasurementSet:
+) -> np.ndarray:
     """Stack vec(H_k X_k) over allocated subcarriers and add CN(0, sigma2) noise.
 
-    Subcarrier selection is done by index gathering; no binary selection
-    matrix is ever materialized. Deterministic for a fixed seed.
+    Returns the (Nr * M * Q,) complex vector ``y``. Subcarrier selection is
+    done by index gathering; no binary selection matrix is ever
+    materialized. Deterministic for a fixed seed.
     """
     if sigma2 < 0:
         raise ValueError("sigma2 must be non-negative")
@@ -90,7 +74,7 @@ def synthesize_measurement(
             rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size)
         )
         y = y + noise
-    return MeasurementSet(y=y, sigma2=float(sigma2), allocation=design.allocation, design=design)
+    return y
 
 
 def omp_solve(

@@ -14,7 +14,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -26,6 +26,7 @@ from .coherence import (
     PilotDesign,
     build_sensing_matrix,
     coherence_report,
+    mutual_coherence,
 )
 from .dictionary import GridSpec, build_dictionaries
 from .errors import ConfigError
@@ -37,14 +38,12 @@ from .optimizer import (
     loss,
     loss_gradient,
     optimize,
-    sweep_lambda,
 )
 
 __all__ = [
     "ChannelModelConfig",
     "EvaluationConfig",
     "ExperimentConfig",
-    "TrialRecord",
     "load_experiment_config",
     "save_design",
     "load_design",
@@ -108,18 +107,6 @@ class ExperimentConfig:
     base_seed: int
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One Monte-Carlo estimation outcome."""
-
-    method: str
-    snr_db: float
-    trial_index: int
-    seed: int
-    nmse: float
-    elapsed_ms: float
-
-
 _DESK_PROFILE = {
     "carrier_freq_hz": 3.5e9,
     "bandwidth_hz": 1.92e6,
@@ -175,11 +162,18 @@ _PAPER_PROFILE = {
 PROFILES = {"desk": _DESK_PROFILE, "paper": _PAPER_PROFILE}
 
 
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("value must be finite")
+    return value
+
+
 def _parse_float_list(raw: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in raw.split(",") if v.strip())
+    return tuple(_finite_float(v) for v in raw.split(",") if v.strip())
 
 
-_PARSERS = {int: int, float: float, str: str, tuple[float, ...]: _parse_float_list}
+_PARSERS = {int: int, float: _finite_float, str: str, tuple[float, ...]: _parse_float_list}
 _FIELD_TYPES = get_type_hints(ExperimentConfig)
 # Config keys named differently from their field: (section, field) -> key.
 _ALIASES = {("optimizer", "seed"): "opt_seed"}
@@ -252,7 +246,7 @@ def load_experiment_config(
             try:
                 values[key] = _CONFIG_KEYS[key][2](raw)
             except ValueError as exc:
-                raise ConfigError(key, f"cannot parse value '{raw}'") from exc
+                raise ConfigError(key, f"cannot parse value '{raw}': {exc}") from exc
     if seed_override is not None:
         values["base_seed"] = int(seed_override)
         values["opt_seed"] = int(seed_override)
@@ -315,13 +309,27 @@ def load_design(path: str | Path) -> PilotDesign:
     return design
 
 
-def save_trace(trace: OptimizationTrace, path: str | Path) -> None:
+def _write_csv(path: str | Path, header: list[str], rows) -> None:
+    """Write ``header`` and then ``rows`` (any iterable, consumed lazily) as CSV.
+
+    Every CSV output goes through here, so all share one dialect with ``\n``
+    line endings. Callers format floats as ``repr(float(x))``, the shortest
+    string that reads back to the same value.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iteration", "loss", "f_term", "g_term", "grad_norm"])
-        for row in zip(trace.iterations, trace.loss, trace.f_term, trace.g_term, trace.grad_norm):
-            writer.writerow([int(row[0]), repr(float(row[1])), repr(float(row[2])),
-                             repr(float(row[3])), repr(float(row[4]))])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def save_trace(trace: OptimizationTrace, path: str | Path) -> None:
+    columns = (trace.loss, trace.f_term, trace.g_term, trace.grad_norm)
+    _write_csv(
+        path,
+        ["iteration", "loss", "f_term", "g_term", "grad_norm"],
+        ([int(it), *(repr(float(v)) for v in values)]
+         for it, *values in zip(trace.iterations, *columns)),
+    )
 
 
 def save_report(report: CoherenceReport, out_dir: str | Path, stem: str = "") -> dict:
@@ -334,16 +342,10 @@ def save_report(report: CoherenceReport, out_dir: str | Path, stem: str = "") ->
         "norm": out / f"{prefix}column_norm_cdf.csv",
         "summary": out / f"{prefix}coherence_summary.json",
     }
-    with open(paths["inner"], "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["kind", "value"])
-        for v in report.inner_product_cdf:
-            writer.writerow(["inner_product", repr(float(v))])
-    with open(paths["norm"], "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["kind", "value"])
-        for v in report.column_norm_cdf:
-            writer.writerow(["column_norm", repr(float(v))])
+    # Generators, not lists: the inner-product CDF has up to 2.1 M rows.
+    for key, kind, values in (("inner", "inner_product", report.inner_product_cdf),
+                              ("norm", "column_norm", report.column_norm_cdf)):
+        _write_csv(paths[key], ["kind", "value"], ((kind, repr(float(v))) for v in values))
     paths["summary"].write_text(json.dumps(report.summary_dict(), indent=2) + "\n")
     return paths
 
@@ -378,7 +380,7 @@ def make_baseline_design(cfg: ExperimentConfig, target_q: int, seed) -> PilotDes
     sys_cfg = cfg.system
     k = sys_cfg.num_subcarriers
     if not 1 <= target_q <= k:
-        raise ValueError(f"target allocation size {target_q} out of range 1..{k}")
+        raise ConfigError("target_q", f"allocation size {target_q} out of range 1..{k}")
     rng = np.random.default_rng(seed)
     allocation = tuple(sorted(int(v) for v in rng.choice(k, size=target_q, replace=False)))
     blocks = np.zeros((k, sys_cfg.num_tx, sys_cfg.seq_len), dtype=complex)
@@ -468,66 +470,63 @@ def run_estimate(
         )
         channels.append(assemble_channel(realization, sys_cfg))
 
-    tasks = [
-        (tag, design, snr, trial)
-        for tag, design in designs
-        for snr in ev.snr_db_list
-        for trial in range(ev.num_trials)
-    ]
+    methods = [tag for tag, _ in designs]
+    snrs = ev.snr_db_list
+    nmse_values = np.empty((len(designs), len(snrs), ev.num_trials))
+    elapsed_ms = np.empty_like(nmse_values)
 
-    def run_one(task) -> TrialRecord:
-        tag, design, snr, trial = task
-        seed = cfg.base_seed + trial
+    def run_one(cell: tuple[int, int, int]) -> None:
+        i, j, trial = cell
+        tag, design = designs[i]
         h = channels[trial]
         sigma2 = snr_sigma2(
-            sys_cfg.total_power, sys_cfg.num_tx, sys_cfg.seq_len, len(design.allocation), snr
+            sys_cfg.total_power, sys_cfg.num_tx, sys_cfg.seq_len, len(design.allocation), snrs[j]
         )
         started = time.perf_counter()
-        meas = synthesize_measurement(h, design, sigma2, (seed, _NOISE_STREAM))
-        est = solve(meas.y, operators[tag], ev.max_sparsity)
+        y = synthesize_measurement(h, design, sigma2, (cfg.base_seed + trial, _NOISE_STREAM))
+        est = solve(y, operators[tag], ev.max_sparsity)
         h_hat = reconstruct_channel(est, dicts)
-        value = nmse(h.stacked, h_hat.stacked)
-        elapsed = (time.perf_counter() - started) * 1e3
-        return TrialRecord(
-            method=tag, snr_db=snr, trial_index=trial, seed=seed, nmse=value, elapsed_ms=elapsed
-        )
+        nmse_values[cell] = nmse(h.stacked, h_hat.stacked)
+        elapsed_ms[cell] = (time.perf_counter() - started) * 1e3
 
+    # Cells in (method, SNR, trial) order; each worker writes only its own.
+    cells = list(np.ndindex(nmse_values.shape))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(run_one, tasks))
+            list(pool.map(run_one, cells))
     else:
-        records = [run_one(t) for t in tasks]
+        for cell in cells:
+            run_one(cell)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    trials_path = out / "trials.csv"
-    with open(trials_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = ["method", "snr_db", "trial_index", "seed", "nmse"]
-        if timing:
-            header.append("elapsed_ms")
-        writer.writerow(header)
-        for rec in records:
-            row = [rec.method, repr(float(rec.snr_db)), rec.trial_index, rec.seed,
-                   repr(float(rec.nmse))]
-            if timing:
-                row.append(repr(float(rec.elapsed_ms)))
-            writer.writerow(row)
+    header = ["method", "snr_db", "trial_index", "seed", "nmse"]
+    if timing:
+        header.append("elapsed_ms")
 
+    def trial_rows():
+        for cell in cells:
+            i, j, trial = cell
+            row = [methods[i], repr(float(snrs[j])), trial, cfg.base_seed + trial,
+                   repr(float(nmse_values[cell]))]
+            if timing:
+                row.append(repr(float(elapsed_ms[cell])))
+            yield row
+
+    trials_path = out / "trials.csv"
+    _write_csv(trials_path, header, trial_rows())
+    medians = np.median(nmse_values, axis=2)
+    means = np.mean(nmse_values, axis=2)
     summary_path = out / "summary.csv"
-    with open(summary_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", "snr_db", "num_trials", "nmse_median", "nmse_mean"])
-        for tag, _ in designs:
-            for snr in ev.snr_db_list:
-                vals = np.asarray(
-                    [r.nmse for r in records if r.method == tag and r.snr_db == snr]
-                )
-                writer.writerow(
-                    [tag, repr(float(snr)), vals.size,
-                     repr(float(np.median(vals))), repr(float(np.mean(vals)))]
-                )
-    return {"trials": trials_path, "summary": summary_path, "records": records}
+    _write_csv(
+        summary_path,
+        ["method", "snr_db", "num_trials", "nmse_median", "nmse_mean"],
+        ([methods[i], repr(float(snrs[j])), ev.num_trials,
+          repr(float(medians[i, j])), repr(float(means[i, j]))]
+         for i, j in np.ndindex(medians.shape)),
+    )
+    return {"trials": trials_path, "summary": summary_path, "methods": methods,
+            "nmse": nmse_values}
 
 
 def _method_tag(path: str | Path) -> str:
@@ -577,38 +576,46 @@ def run_sweep(
     lambda_values,
     out_dir: str | Path,
     target_q: int | None = None,
-    trace_every: int = 1,
 ) -> dict:
-    """Optimize across penalty weights; persist designs and a sweep table."""
+    """Optimize once per penalty weight; persist designs and a sweep table.
+
+    Run ``i`` starts from ``gaussian_init`` with seed ``(opt_seed, i)``. Each
+    row is ``(lambda_bar, allocation_size, mutual_coherence, design_file)``.
+    With ``target_q``, ``selected`` is the index of the row whose allocation
+    size is closest (ties: smaller coherence, then the earlier row), and
+    ``sweep_summary.json`` names its design file.
+    """
+    values = [float(v) for v in lambda_values]
+    if not values:
+        raise ValueError("lambda_values must be non-empty")
     sys_cfg = cfg.system
     dicts = build_dictionaries(cfg.grids, sys_cfg)
-    outcome = sweep_lambda(
-        lambda_values,
-        dicts,
-        cfg.optimizer,
-        sys_cfg.total_power,
-        sys_cfg.seq_len,
-        target_allocation_size=target_q,
-        trace_every=trace_every,
-    )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    rows = []
+    for i, lam in enumerate(values):
+        x0 = gaussian_init(
+            sys_cfg.num_subcarriers, sys_cfg.num_tx, sys_cfg.seq_len, (cfg.optimizer.seed, i)
+        )
+        design, _ = optimize(
+            x0, dicts, replace(cfg.optimizer, lambda_bar=lam), sys_cfg.total_power
+        )
+        name = f"design_lambda_{i}.json"
+        save_design(design, out / name)
+        mu = mutual_coherence(build_sensing_matrix(design, dicts))
+        rows.append((lam, len(design.allocation), mu, name))
     table_path = out / "sweep.csv"
-    with open(table_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["lambda_bar", "allocation_size", "mutual_coherence", "design_file"])
-        for i, row in enumerate(outcome.rows):
-            name = f"design_lambda_{i}.json"
-            save_design(row.design, out / name)
-            writer.writerow(
-                [repr(row.lambda_bar), row.allocation_size, repr(row.coherence), name]
-            )
-    meta = {"selected": None}
-    if outcome.selected is not None:
-        idx = outcome.rows.index(outcome.selected)
-        meta["selected"] = f"design_lambda_{idx}.json"
+    _write_csv(
+        table_path,
+        ["lambda_bar", "allocation_size", "mutual_coherence", "design_file"],
+        ([repr(lam), q, repr(float(mu)), name] for lam, q, mu, name in rows),
+    )
+    selected = None
+    if target_q is not None:
+        selected = min(range(len(rows)), key=lambda i: (abs(rows[i][1] - target_q), rows[i][2]))
+    meta = {"selected": None if selected is None else rows[selected][3]}
     (out / "sweep_summary.json").write_text(json.dumps(meta, indent=2) + "\n")
-    return {"table": table_path, "outcome": outcome}
+    return {"table": table_path, "rows": rows, "selected": selected}
 
 
 def median_difference_ci(

@@ -14,26 +14,23 @@ gradient magnitudes so updates are equivariant to global phase rotations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import CoherenceEngine, PilotDesign, mutual_coherence, build_sensing_matrix
+from .coherence import CoherenceEngine, PilotDesign
 from .dictionary import DictionarySet
 from .errors import DegenerateDesignError, DegenerateInputError, OptimizationDivergenceError
 
 __all__ = [
     "OptimizerConfig",
     "OptimizationTrace",
-    "SweepRow",
-    "SweepOutcome",
     "block_penalty",
     "loss",
     "loss_gradient",
     "optimize",
     "extract_allocation",
     "gaussian_init",
-    "sweep_lambda",
 ]
 
 # Smoothing floor inside 1/||X_k|| factors of the penalty gradient.
@@ -216,61 +213,3 @@ def optimize(
     design = extract_allocation(scaled, cfg.zero_threshold_rel, total_power)
     trace = OptimizationTrace(*(np.asarray(column) for column in zip(*records)))
     return design, trace
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """Outcome of one penalty-weight setting."""
-
-    lambda_bar: float
-    allocation_size: int
-    coherence: float
-    design: PilotDesign
-    trace: OptimizationTrace
-
-
-@dataclass(frozen=True)
-class SweepOutcome:
-    rows: tuple[SweepRow, ...]
-    selected: SweepRow | None
-
-
-def sweep_lambda(
-    lambda_values,
-    dicts: DictionarySet,
-    cfg: OptimizerConfig,
-    total_power: float,
-    seq_len: int,
-    target_allocation_size: int | None = None,
-    trace_every: int = 1,
-) -> SweepOutcome:
-    """Optimize once per penalty weight, with per-run derived seeds.
-
-    When ``target_allocation_size`` is given, ``selected`` is the row whose
-    allocation size is closest (ties broken by smaller sensing-matrix
-    coherence).
-    """
-    values = [float(v) for v in lambda_values]
-    if not values:
-        raise ValueError("lambda_values must be non-empty")
-    rows = []
-    for i, lam in enumerate(values):
-        run_cfg = replace(cfg, lambda_bar=lam)
-        x0 = gaussian_init(dicts.num_subcarriers, dicts.num_tx, seq_len, (cfg.seed, i))
-        design, trace = optimize(x0, dicts, run_cfg, total_power, trace_every=trace_every)
-        mu = mutual_coherence(build_sensing_matrix(design, dicts))
-        rows.append(
-            SweepRow(
-                lambda_bar=lam,
-                allocation_size=len(design.allocation),
-                coherence=mu,
-                design=design,
-                trace=trace,
-            )
-        )
-    selected = None
-    if target_allocation_size is not None:
-        selected = min(
-            rows, key=lambda r: (abs(r.allocation_size - target_allocation_size), r.coherence)
-        )
-    return SweepOutcome(rows=tuple(rows), selected=selected)

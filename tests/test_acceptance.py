@@ -276,8 +276,8 @@ def test_criterion_07_omp_exactness():
                 gains=gains,
             )
             h = assemble_channel(realization, cfg)
-            meas = synthesize_measurement(h, design, 0.0, 0)
-            est = omp_solve(meas.y, op, max_sparsity=sparsity)
+            y = synthesize_measurement(h, design, 0.0, 0)
+            est = omp_solve(y, op, max_sparsity=sparsity)
             support_ok &= sorted(est.support) == atoms
             worst_nmse = max(worst_nmse, nmse(h.stacked, reconstruct_channel(est, dicts).stacked))
     _report(
@@ -312,13 +312,8 @@ def test_criterion_09_end_to_end_ordering(desk, optimized, matched_baseline, tmp
     started = time.perf_counter()
     out = run_estimate(run_cfg, [opt_path, base_path], tmp_path / "est")
     elapsed = time.perf_counter() - started
-    records = out["records"]
-    opt_vals = np.array(
-        [r.nmse for r in records if r.method == "optimized"]
-    )
-    base_vals = np.array(
-        [r.nmse for r in records if r.method == "gauss_random"]
-    )
+    opt_vals = out["nmse"][out["methods"].index("optimized"), 0]
+    base_vals = out["nmse"][out["methods"].index("gauss_random"), 0]
     lo, hi = median_difference_ci(opt_vals, base_vals, n_boot=2000, seed=909)
     ok = (
         np.median(opt_vals) < np.median(base_vals)

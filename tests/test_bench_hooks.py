@@ -3,11 +3,12 @@
 ``bench/spans.py`` skips a name it cannot find, so a renamed function would
 make its layer silently read 0. These checks resolve every name the
 benchmark uses without installing the tracer (``install`` patches modules
-globally).
+globally). The benchmark's own self-test also runs here, in its short form.
 """
 
 import ast
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -55,3 +56,11 @@ def test_worker_harness_attributes_resolve():
     }
     assert used, "worker.py no longer reaches pilotopt.harness by attribute"
     assert not [name for name in sorted(used) if not hasattr(harness, name)]
+
+
+def test_bench_selftest_short():
+    done = subprocess.run(
+        [sys.executable, str(BENCH / "selftest.py"), "--short"],
+        cwd=BENCH.parent, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]

@@ -317,6 +317,26 @@ class TestRunSweep:
         meta = json.loads((tmp_path / "s" / "sweep_summary.json").read_text())
         assert meta["selected"] in {row["design_file"] for row in rows}
 
+    def test_empty_list_rejected(self, tiny_cfg, tmp_path):
+        with pytest.raises(ValueError):
+            run_sweep(tiny_cfg, [], tmp_path / "s")
+
+    def test_single_value_gives_single_row(self, tiny_cfg, tmp_path):
+        out = run_sweep(tiny_cfg, [1.5], tmp_path / "s")
+        assert len(out["rows"]) == 1
+        assert out["rows"][0][0] == 1.5
+        assert out["selected"] is None
+        meta = json.loads((tmp_path / "s" / "sweep_summary.json").read_text())
+        assert meta["selected"] is None
+
+    def test_target_selection_prefers_closest_q(self, tiny_cfg, tmp_path):
+        out = run_sweep(tiny_cfg, [0.0, 0.5], tmp_path / "s", target_q=8)
+        rows = out["rows"]
+        best = min(range(len(rows)), key=lambda i: (abs(rows[i][1] - 8), rows[i][2]))
+        assert out["selected"] == best
+        meta = json.loads((tmp_path / "s" / "sweep_summary.json").read_text())
+        assert meta["selected"] == rows[best][3]
+
 
 class TestBootstrapCI:
     def test_clear_separation_excludes_zero(self):
@@ -375,14 +395,44 @@ class TestCli:
                    "--out", str(tmp_path / "x")])
         assert rc == 2
 
-    @pytest.mark.parametrize("command", ["design", "sweep-lambda"])
+    @pytest.mark.parametrize("command", ["design"])
     def test_zero_trace_every_exit_code(self, tmp_path, command):
-        argv = [command, "--out", str(tmp_path / "x"), "--trace-every", "0"]
-        if command == "sweep-lambda":
-            argv += ["--lambdas", "1.0"]
         with pytest.raises(SystemExit) as exc:
-            main(argv)
+            main([command, "--out", str(tmp_path / "x"), "--trace-every", "0"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_nonpositive_threads_exit_code(self, tmp_path, threads):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--out", str(tmp_path / "e"), "--designs", "d.json",
+                  "--threads", threads])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("lambdas", [",,", "-1", "0.7,-1", "nan", "inf", "soon"])
+    def test_bad_lambdas_exit_code(self, tmp_path, lambdas):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep-lambda", "--out", str(tmp_path / "s"), "--lambdas", lambdas])
+        assert exc.value.code == 2
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("target_q", ["0", "99"])
+    def test_out_of_range_target_q_exit_code(self, tmp_path, target_q):
+        out = tmp_path / "b.json"
+        assert main(["baseline", "--target-q", target_q, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "override",
+        ["lambda_bar = nan", "zero_threshold_rel = nan", "total_power = nan",
+         "total_power = inf", "rician_k_db = nan", "rician_k_db = inf", "learning_rate = nan",
+         "eps = nan", "bandwidth_hz = inf"],
+    )
+    def test_non_finite_config_float_exit_code(self, tmp_path, override):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(f"iterations = 1\n{override}\n")
+        rc = main(["design", "--config", str(cfg_file), "--out", str(tmp_path / "d")])
+        assert rc == 2
+        assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize(
         "override",

@@ -16,7 +16,6 @@ from pilotopt import (
     loss,
     loss_gradient,
     optimize,
-    sweep_lambda,
 )
 
 
@@ -210,27 +209,3 @@ class TestExtractAllocation:
         x[0] = np.nan
         with pytest.raises(ValueError):
             extract_allocation(x, 1e-3, 1.0)
-
-
-class TestSweepLambda:
-    def test_empty_list_rejected(self):
-        _, dicts, _ = small_setup()
-        with pytest.raises(ValueError):
-            sweep_lambda([], dicts, OptimizerConfig(iterations=1), 64.0, seq_len=2)
-
-    def test_single_value_gives_single_row(self):
-        _, dicts, _ = small_setup()
-        cfg = OptimizerConfig(iterations=20, lambda_bar=0.0, seed=1)
-        outcome = sweep_lambda([1.5], dicts, cfg, 64.0, seq_len=2)
-        assert len(outcome.rows) == 1
-        assert outcome.rows[0].lambda_bar == 1.5
-        assert outcome.selected is None
-
-    def test_target_selection_prefers_closest_q(self):
-        _, dicts, _ = small_setup()
-        cfg = OptimizerConfig(iterations=20, seed=2)
-        outcome = sweep_lambda([0.0, 0.5], dicts, cfg, 64.0, seq_len=2,
-                               target_allocation_size=8)
-        assert outcome.selected is not None
-        best = min(outcome.rows, key=lambda r: (abs(r.allocation_size - 8), r.coherence))
-        assert outcome.selected == best
