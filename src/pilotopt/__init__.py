@@ -61,7 +61,6 @@ from .harness import (
     load_design,
     load_experiment_config,
     make_baseline_design,
-    median_difference_ci,
     run_baseline,
     run_design,
     run_estimate,

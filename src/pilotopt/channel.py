@@ -13,7 +13,7 @@ subcarrier.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,6 +49,8 @@ class SystemConfig:
     rx_spacing_wavelengths: float = 0.5
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(getattr(self, f.name)) for f in fields(self) if f.type == "float"):
+            raise ValueError("system float parameters must be finite")
         if self.carrier_freq_hz <= 0 or self.bandwidth_hz <= 0:
             raise ValueError("carrier frequency and bandwidth must be positive")
         if self.num_subcarriers < 1:

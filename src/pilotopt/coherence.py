@@ -10,8 +10,11 @@ Column inner products of ``Omega`` obey
 
     c(gt, gt', gf, gf') = sum_k conj(b_k[gt]) * b_k[gt'] * <r_k(gf), r_k(gf')>
 
-with ``r_k(gf) = X_k^T conj(a_t(gf))``, which is what the gradient engine
-accumulates as a (G_tau^2, G_phi^2) tensor via one matrix product.
+with ``r_k(gf) = X_k^T conj(a_t(gf))``. The delay grid is uniform, so the
+weight ``conj(b_k[gt]) * b_k[gt']`` depends on ``d = gt - gt'`` alone. Of
+the (G_tau^2, G_phi^2) tensor of these products the gradient engine builds
+one row per delay difference ``d = 0..G_tau-1``, counts it ``G_tau - |d|``
+times and takes ``d < 0`` as the Hermitian transpose of ``-d``.
 """
 
 from __future__ import annotations
@@ -178,59 +181,56 @@ def build_sensing_matrix(design: PilotDesign, dicts: DictionarySet) -> SensingOp
 
 
 class CoherenceEngine:
-    """Shared precomputation for repeated coherence/gradient evaluations.
+    """Coherence objective and gradient from the delay-difference Gram rows.
 
-    Holds the delay-pair weights ``W[k, a, b] = conj(b_k[a]) * b_k[b]``
-    flattened to (K, G_tau^2); only the pilot-dependent pieces are rebuilt
-    per evaluation.
+    The delay grid is uniform, so the weight ``W[k, a, b] = conj(b_k[a]) *
+    b_k[b]`` depends on ``d = a - b`` alone and the (G_tau^2, G_phi^2) Omega
+    Gram holds only the rows ``c_d = sum_k w_d[k] P_k``, ``w_d[k] = W[k, d,
+    0]``. Row ``d`` recurs ``G_tau - |d|`` times and ``c_{-d} = c_d^H``, so
+    only ``d >= 0`` is built. Construction refuses a dictionary whose ``W``
+    is not Toeplitz in ``(a, b)``.
     """
 
     def __init__(self, dicts: DictionarySet):
         self.dicts = dicts
         self.g_tau = dicts.b.shape[1]
         self.g_phi = dicts.a_t.shape[1]
-        k = dicts.num_subcarriers
         w = dicts.b.conj()[:, :, None] * dicts.b[:, None, :]  # (K, G_tau, G_tau)
-        self._w_mat = w.reshape(k, self.g_tau * self.g_tau)
+        self._w_d = w[:, :, 0].copy()  # (K, G_tau)
+        d = np.subtract.outer(np.arange(self.g_tau), np.arange(self.g_tau))
+        lag = self._w_d[:, np.abs(d)]
+        if np.max(np.abs(w - np.where(d >= 0, lag, lag.conj())), initial=0.0) > 1e-12:
+            raise ValueError("delay dictionary is not on a uniform grid (W is not Toeplitz)")
+        # Multiplicity of the pair {c_d, c_-d}: G_tau for d = 0, 2 (G_tau - d) above.
+        self._mult = 2.0 * (self.g_tau - np.arange(self.g_tau))
+        self._mult[0] = self.g_tau
         self._at_h = dicts.a_t.conj().T  # (G_phi, Nt)
 
     def gram_tensor(self, blocks: np.ndarray) -> np.ndarray:
-        """All Omega-column inner products as a (G_tau^2, G_phi^2) matrix."""
+        """Delay-difference rows ``c_d``, d = 0..G_tau-1, as a (G_tau, G_phi^2) matrix."""
         r = np.matmul(self._at_h[None, :, :], blocks)  # (K, G_phi, M)
         p_mat = np.matmul(r.conj(), r.transpose(0, 2, 1))  # (K, G_phi, G_phi)
         k = blocks.shape[0]
-        return self._w_mat.T @ p_mat.reshape(k, self.g_phi * self.g_phi)
-
-    @staticmethod
-    def _abs_sq(c: np.ndarray) -> np.ndarray:
-        # |c|^2 without the sqrt of np.abs; the hot loop is bandwidth-bound.
-        return c.real**2 + c.imag**2
+        return self._w_d.T @ p_mat.reshape(k, self.g_phi * self.g_phi)
 
     def f_value_and_vgrad(self, blocks: np.ndarray, p: int) -> tuple[float, float, np.ndarray]:
         """Return (f, v_p, dv_p/dconj(X)) for the coherence sum v_p = f^p.
 
-        The gradient blocks follow the closed form: contract the tensor
-        ``T = (p/2) |c|^(p-2) c`` against the delay-pair weights, wrap the
-        result in the AoD dictionary, and apply the Hermitian-symmetrized
-        matrix to each pilot block.
+        ``v_p = sum_d m_d sum |c_d|^p``, where ``m_d`` counts the rows equal
+        to ``c_d`` or ``c_-d``: G_tau for d = 0, 2 (G_tau - d) for d > 0.
+        Contracting ``(p/2) |c|^(p-2) c`` against all delay-pair weights gives
+        a Hermitian ``F_k = H_k + H_k^H``; ``T_d = (p/2) m_d |c_d|^(p-2) c_d``
+        against ``conj(w_d)`` gives ``2 H_k``, and the wrap's ``s1 + s1^H``
+        restores ``F_k``. The wrapped matrix is applied to each pilot block.
         """
         _require_even_p(p)
         c = self.gram_tensor(blocks)
-        a2 = self._abs_sq(c)
-        half = p // 2
-        if half == 1:
-            v_p = float(np.sum(a2))
-            t_mat = c
-        elif half == 2:
-            flat = a2.ravel()
-            v_p = float(flat @ flat)
-            t_mat = (p / 2.0) * a2 * c
-        else:
-            pw = a2 ** (half - 1)
-            v_p = float(np.sum(pw * a2))
-            t_mat = (p / 2.0) * pw * c
+        a2 = c.real**2 + c.imag**2
+        pw = a2 ** (p // 2 - 1)  # |c|^(p-2)
+        v_p = float(self._mult @ np.sum(pw * a2, axis=1))
+        t_mat = ((p / 2.0) * self._mult)[:, None] * pw * c
         k = blocks.shape[0]
-        f_kphi = (self._w_mat.conj() @ t_mat).reshape(k, self.g_phi, self.g_phi)
+        f_kphi = (self._w_d.conj() @ t_mat).reshape(k, self.g_phi, self.g_phi)
         a_t = self.dicts.a_t
         s1 = np.matmul(np.matmul(a_t, f_kphi.transpose(0, 2, 1)), a_t.conj().T)
         vgrad = np.matmul(s1 + s1.conj().transpose(0, 2, 1), blocks)

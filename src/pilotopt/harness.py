@@ -55,7 +55,6 @@ __all__ = [
     "run_report",
     "run_gradcheck",
     "run_sweep",
-    "median_difference_ci",
 ]
 
 # Seed-sequence stream tags; they decorrelate RNG streams that share a base
@@ -617,21 +616,3 @@ def run_sweep(
     (out / "sweep_summary.json").write_text(json.dumps(meta, indent=2) + "\n")
     return {"table": table_path, "rows": rows, "selected": selected}
 
-
-def median_difference_ci(
-    a, b, n_boot: int = 2000, seed: int = 0, confidence: float = 0.95
-) -> tuple[float, float]:
-    """Paired bootstrap CI for median(a) - median(b) over shared trial indices."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.size == 0:
-        raise ValueError("paired samples must share a non-empty shape")
-    rng = np.random.default_rng(seed)
-    n = a.size
-    idx = rng.integers(0, n, (n_boot, n))
-    diffs = np.median(a[idx], axis=1) - np.median(b[idx], axis=1)
-    tail = (1.0 - confidence) / 2.0
-    return (
-        float(np.quantile(diffs, tail)),
-        float(np.quantile(diffs, 1.0 - tail)),
-    )

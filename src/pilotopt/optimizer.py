@@ -14,7 +14,8 @@ gradient magnitudes so updates are equivariant to global phase rotations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -53,6 +54,8 @@ class OptimizerConfig:
     zero_threshold_rel: float = 1e-3
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(getattr(self, f.name)) for f in fields(self) if f.type == "float"):
+            raise ValueError("optimizer float parameters must be finite")
         if self.p < 2 or self.p % 2 != 0:
             raise ValueError("p must be an even integer >= 2")
         if not 0.0 < self.q <= 1.0:

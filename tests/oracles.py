@@ -1,10 +1,12 @@
 """Slow reference implementations that the library's fast paths are checked against.
 
 Each oracle evaluates a quantity straight from its defining formula: one
-Omega Gram entry from the subcarrier sum, the full-sensing-matrix objective
-from a dense ``Psi``, the AoA dictionary coherence from its dense Gram, the
-channel of a virtual-gain vector and of a path realization as sums of
-Kronecker (Khatri-Rao) columns.
+Omega Gram entry from the subcarrier sum, the coherence objective and its
+gradient from the full (G_tau^2, G_phi^2) Omega Gram tensor, the
+full-sensing-matrix objective from a dense ``Psi``, the AoA dictionary
+coherence from its dense Gram, the channel of a virtual-gain vector and of
+a path realization as sums of Kronecker (Khatri-Rao) columns. ``median_difference_ci`` is the paired
+bootstrap interval the end-to-end acceptance criterion is judged by.
 """
 
 import numpy as np
@@ -42,6 +44,57 @@ def c_omega(blocks, dicts, g_tau, g_tau2, g_phi, g_phi2):
     a = dicts.a_t[:, g_phi]
     a2 = dicts.a_t[:, g_phi2]
     return complex(a.T @ middle @ a2.conj())
+
+
+def full_gram_tensor(blocks, dicts):
+    """Delay-pair weights (K, G_tau^2) and every Omega-column inner product.
+
+    The second result is the (G_tau^2, G_phi^2) Gram tensor: row
+    ``a * G_tau + b`` holds the AoD block of delay pair ``(a, b)``, weighted
+    by ``W[k, a, b] = conj(b_k[a]) * b_k[b]``.
+    """
+    blocks = np.asarray(blocks, dtype=complex)
+    k = blocks.shape[0]
+    g_tau = dicts.b.shape[1]
+    g_phi = dicts.a_t.shape[1]
+    w = dicts.b.conj()[:, :, None] * dicts.b[:, None, :]  # (K, G_tau, G_tau)
+    w_mat = w.reshape(k, g_tau * g_tau)
+    r = np.matmul(dicts.a_t.conj().T[None, :, :], blocks)  # (K, G_phi, M)
+    p_mat = np.matmul(r.conj(), r.transpose(0, 2, 1))  # (K, G_phi, G_phi)
+    return w_mat, w_mat.T @ p_mat.reshape(k, g_phi * g_phi)
+
+
+def full_gram_value_and_vgrad(blocks, dicts, p):
+    """(f, v_p, dv_p/dconj(X)) contracted over every row of the full Gram tensor.
+
+    The gradient blocks follow the closed form: contract the tensor
+    ``T = (p/2) |c|^(p-2) c`` against the delay-pair weights, wrap the
+    result in the AoD dictionary, and apply the Hermitian-symmetrized
+    matrix to each pilot block.
+    """
+    _require_even_p(p)
+    blocks = np.asarray(blocks, dtype=complex)
+    w_mat, c = full_gram_tensor(blocks, dicts)
+    a2 = c.real**2 + c.imag**2
+    half = p // 2
+    if half == 1:
+        v_p = float(np.sum(a2))
+        t_mat = c
+    elif half == 2:
+        flat = a2.ravel()
+        v_p = float(flat @ flat)
+        t_mat = (p / 2.0) * a2 * c
+    else:
+        pw = a2 ** (half - 1)
+        v_p = float(np.sum(pw * a2))
+        t_mat = (p / 2.0) * pw * c
+    k = blocks.shape[0]
+    g_phi = dicts.a_t.shape[1]
+    f_kphi = (w_mat.conj() @ t_mat).reshape(k, g_phi, g_phi)
+    a_t = dicts.a_t
+    s1 = np.matmul(np.matmul(a_t, f_kphi.transpose(0, 2, 1)), a_t.conj().T)
+    vgrad = np.matmul(s1 + s1.conj().transpose(0, 2, 1), blocks)
+    return float(v_p ** (1.0 / p)), v_p, vgrad
 
 
 def t_p_dictionary(a_r, p):
@@ -102,3 +155,20 @@ def khatri_rao_channel(realization, config):
     )
     b = np.stack([delay_response(d, config) for d in realization.delays], axis=1)
     return np.einsum("kl,tl,rl,l->ktr", b, a_t.conj(), a_r, realization.gains).ravel()
+
+
+def median_difference_ci(a, b, n_boot=2000, seed=0, confidence=0.95):
+    """Paired bootstrap CI for median(a) - median(b) over shared trial indices."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape or a.size == 0:
+        raise ValueError("paired samples must share a non-empty shape")
+    rng = np.random.default_rng(seed)
+    n = a.size
+    idx = rng.integers(0, n, (n_boot, n))
+    diffs = np.median(a[idx], axis=1) - np.median(b[idx], axis=1)
+    tail = (1.0 - confidence) / 2.0
+    return (
+        float(np.quantile(diffs, tail)),
+        float(np.quantile(diffs, 1.0 - tail)),
+    )

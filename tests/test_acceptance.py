@@ -2,8 +2,8 @@
 pass/fail line (run with ``pytest tests/test_acceptance.py -v -s``).
 
 Everything runs on the desk profile; the single full-scale check is gated
-behind the PILOTOPT_PAPER_SCALE environment variable because it takes
-hours.
+behind the PILOTOPT_PAPER_SCALE environment variable because it takes about
+6 minutes (20 000 paper-profile iterations on a 2-core host).
 """
 
 import dataclasses
@@ -31,7 +31,6 @@ from pilotopt import (
     loss,
     loss_gradient,
     make_baseline_design,
-    median_difference_ci,
     mutual_coherence,
     nmse,
     omp_solve,
@@ -44,7 +43,7 @@ from pilotopt import (
 )
 from pilotopt.cli import main as cli_main
 
-from oracles import c_omega, f_psi_reference, t_p_dictionary
+from oracles import c_omega, f_psi_reference, median_difference_ci, t_p_dictionary
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -216,7 +215,7 @@ def test_criterion_06_sparsity_control(desk):
 
 @pytest.mark.skipif(
     not os.environ.get("PILOTOPT_PAPER_SCALE"),
-    reason="full-scale run takes hours; set PILOTOPT_PAPER_SCALE=1 to enable",
+    reason="full-scale run takes about 6 minutes; set PILOTOPT_PAPER_SCALE=1 to enable",
 )
 def test_criterion_06_long_run_full_scale():
     cfg = load_experiment_config("paper")

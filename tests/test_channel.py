@@ -231,3 +231,18 @@ class TestSystemConfig:
     def test_max_delay(self):
         cfg = small_config()
         assert cfg.max_delay_s == pytest.approx(3 / 1.92e6)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "carrier_freq_hz",
+            "bandwidth_hz",
+            "total_power",
+            "tx_spacing_wavelengths",
+            "rx_spacing_wavelengths",
+        ],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_float_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            small_config(**{field: value})

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from pilotopt import coherence
 from pilotopt import (
     CapacityError,
+    CoherenceEngine,
     DegenerateInputError,
     GridSpec,
     PilotDesign,
@@ -12,7 +15,9 @@ from pilotopt import (
     build_omega,
     build_sensing_matrix,
     coherence_report,
+    delay_response,
     f_omega,
+    gaussian_init,
     generalized_coherence,
     load_experiment_config,
     make_baseline_design,
@@ -20,7 +25,13 @@ from pilotopt import (
     welch_bound,
 )
 
-from oracles import c_omega, f_psi_reference, t_p_dictionary
+from oracles import (
+    c_omega,
+    f_psi_reference,
+    full_gram_tensor,
+    full_gram_value_and_vgrad,
+    t_p_dictionary,
+)
 
 # AoA dictionary coherence on the full-scale grid (G_theta = 16, Nr = 8,
 # p = 4), frozen from a direct double-sum evaluation.
@@ -148,6 +159,67 @@ class TestFOmega:
             f_omega(blocks, dicts, 3)
         with pytest.raises(ValueError):
             f_omega(blocks, dicts, 0)
+
+
+def _profile_blocks(profile, seed):
+    cfg = load_experiment_config(profile)
+    dicts = build_dictionaries(cfg.grids, cfg.system)
+    s = cfg.system
+    return dicts, gaussian_init(s.num_subcarriers, s.num_tx, s.seq_len, seed)
+
+
+class TestCoherenceEngine:
+    """The delay-difference engine against the full-tensor oracle."""
+
+    @staticmethod
+    def assert_matches_oracle(blocks, dicts, ps=(2, 4, 6)):
+        engine = CoherenceEngine(dicts)
+        for p in ps:
+            f, v_p, vgrad = engine.f_value_and_vgrad(blocks, p)
+            f_ref, v_ref, vgrad_ref = full_gram_value_and_vgrad(blocks, dicts, p)
+            assert f == pytest.approx(f_ref, rel=1e-12)
+            assert v_p == pytest.approx(v_ref, rel=1e-12)
+            assert np.linalg.norm(vgrad - vgrad_ref) <= 1e-12 * np.linalg.norm(vgrad_ref)
+
+    def test_small_setup_matches_oracle(self):
+        for seed in range(3):
+            _, _, dicts, blocks = small_setup(seed)
+            self.assert_matches_oracle(blocks, dicts)
+            blocks[[1, 4, 5]] = 0.0
+            self.assert_matches_oracle(blocks, dicts)
+
+    def test_desk_matches_oracle(self):
+        dicts, blocks = _profile_blocks("desk", 7)
+        self.assert_matches_oracle(blocks, dicts)
+        blocks[::3] = 0.0
+        self.assert_matches_oracle(blocks, dicts)
+
+    def test_paper_size_matches_oracle(self):
+        dicts, blocks = _profile_blocks("paper", 8)
+        blocks[1::4] = 0.0
+        self.assert_matches_oracle(blocks, dicts, ps=(4,))
+
+    def test_rows_are_delay_differences(self):
+        _, spec, dicts, blocks = small_setup(9)
+        rows = CoherenceEngine(dicts).gram_tensor(blocks)
+        _, full = full_gram_tensor(blocks, dicts)
+        g_tau, g_phi = spec.g_tau, spec.g_phi
+        assert rows.shape == (g_tau, g_phi * g_phi)
+        scale = np.abs(full).max()
+        for a in range(g_tau):
+            for b in range(g_tau):
+                if a >= b:
+                    expected = rows[a - b]
+                else:
+                    expected = rows[b - a].reshape(g_phi, g_phi).conj().T.ravel()
+                np.testing.assert_allclose(full[a * g_tau + b], expected, rtol=0, atol=1e-13 * scale)
+
+    def test_non_uniform_delay_grid_rejected(self):
+        cfg, _, dicts, _ = small_setup()
+        tau = cfg.max_delay_s * np.array([0.0, 0.1, 0.5, 1.0])
+        b = np.stack([delay_response(t, cfg) for t in tau], axis=1)
+        with pytest.raises(ValueError, match="uniform"):
+            CoherenceEngine(replace(dicts, tau_grid=tau, b=b))
 
 
 class TestFPsiDecomposition:

@@ -11,7 +11,6 @@ from pilotopt import (
     load_design,
     load_experiment_config,
     make_baseline_design,
-    median_difference_ci,
     run_baseline,
     run_design,
     run_estimate,
@@ -21,6 +20,8 @@ from pilotopt import (
     save_design,
 )
 from pilotopt.cli import main
+
+from oracles import median_difference_ci
 
 
 TINY_OVERRIDES = """

@@ -35,6 +35,16 @@ def small_setup(seed=0):
     return cfg, dicts, blocks
 
 
+class TestOptimizerConfig:
+    @pytest.mark.parametrize(
+        "field", ["q", "lambda_bar", "learning_rate", "beta1", "beta2", "eps", "zero_threshold_rel"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_float_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            OptimizerConfig(**{field: value})
+
+
 class TestBlockPenalty:
     def test_single_unit_block(self):
         x = np.zeros((3, 2, 2), dtype=complex)
