@@ -199,7 +199,10 @@ class CoherenceEngine:
         self._w_d = w[:, :, 0].copy()  # (K, G_tau)
         d = np.subtract.outer(np.arange(self.g_tau), np.arange(self.g_tau))
         lag = self._w_d[:, np.abs(d)]
-        if np.max(np.abs(w - np.where(d >= 0, lag, lag.conj())), initial=0.0) > 1e-12:
+        # Delay phases reach about pi * K radians (at most K taps), and their
+        # roundoff grows with them: 1e-12 alone refuses uniform grids from K ~ 1500.
+        tol = max(1e-12, 16 * np.finfo(float).eps * dicts.num_subcarriers)
+        if np.max(np.abs(w - np.where(d >= 0, lag, lag.conj())), initial=0.0) > tol:
             raise ValueError("delay dictionary is not on a uniform grid (W is not Toeplitz)")
         # Multiplicity of the pair {c_d, c_-d}: G_tau for d = 0, 2 (G_tau - d) above.
         self._mult = 2.0 * (self.g_tau - np.arange(self.g_tau))

@@ -221,6 +221,12 @@ class TestCoherenceEngine:
         with pytest.raises(ValueError, match="uniform"):
             CoherenceEngine(replace(dicts, tau_grid=tau, b=b))
 
+    def test_wide_band_uniform_grid_accepted(self):
+        # 4096 taps put delay phases near 4096 * pi, where the Toeplitz
+        # residual of the uniform grid is about 3e-12.
+        cfg = replace(small_setup()[0], num_subcarriers=4096, num_delay_taps=4096)
+        CoherenceEngine(build_dictionaries(GridSpec(g_theta=2, g_phi=2, g_tau=4), cfg))
+
 
 class TestFPsiDecomposition:
     def test_zero_pilots(self):
