@@ -10,6 +10,7 @@ reproducible run to run.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import time
@@ -70,6 +71,8 @@ class ChannelModelConfig:
     rician_k_db: float
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(getattr(self, f.name)) for f in fields(self) if f.type == "float"):
+            raise ValueError("channel float parameters must be finite")
         if self.num_paths < 1:
             raise ValueError("num_paths must be >= 1")
 
@@ -233,7 +236,11 @@ def load_experiment_config(
         path = Path(config_path)
         if not path.is_file():
             raise ConfigError("config", f"no such config file: {path}")
-        for line_no, line in enumerate(path.read_text().splitlines(), start=1):
+        try:
+            lines = path.read_text().splitlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError("config", f"config file {path} is not text: {exc}") from exc
+        for line_no, line in enumerate(lines, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:
                 continue
@@ -278,7 +285,7 @@ def load_design(path: str | Path) -> PilotDesign:
         raise ConfigError("design", f"no such design file: {path}")
     try:
         payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError("design", f"malformed JSON in {path}: {exc}") from exc
     try:
         k, m, nt = int(payload["K"]), int(payload["M"]), int(payload["Nt"])
@@ -287,8 +294,10 @@ def load_design(path: str | Path) -> PilotDesign:
             payload["x_imag"], dtype=float
         )
         allocation = tuple(int(v) for v in payload["allocation"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError("design", f"missing or invalid field in {path}: {exc}") from exc
+    if min(k, m, nt) < 1:
+        raise ConfigError("design", f"K, M and Nt must be positive in {path}")
     if full.shape != (nt, k * m):
         raise ConfigError("design", f"pilot matrix shape {full.shape} != ({nt}, {k * m})")
     if not (np.all(np.isfinite(full)) and math.isfinite(pt)):
@@ -308,26 +317,75 @@ def load_design(path: str | Path) -> PilotDesign:
     return design
 
 
-def _write_csv(path: str | Path, header: list[str], rows) -> None:
-    """Write ``header`` and then ``rows`` (any iterable, consumed lazily) as CSV.
+# Rows per formatted chunk in _write_csv. Small chunks keep the writer's transient
+# memory near 0.2 MiB, so writing never sets a run's peak RSS (65 536-row chunks
+# added 5.6 MiB to a 41 MiB desk design run), and they are no slower.
+_CSV_CHUNK = 1 << 8
 
-    Every CSV output goes through here, so all share one dialect with ``\n``
-    line endings. Callers format floats as ``repr(float(x))``, the shortest
-    string that reads back to the same value.
+
+def _csv_text_field(text: str) -> str:
+    buf = io.StringIO()
+    # A second, empty field keeps the csv module's rule for a lone empty
+    # field (written as ``""``) out of play; its "," and the "\n" are cut.
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
+def _csv_fields(values: list) -> list[str]:
+    """Fields of one column chunk: numbers through ``repr``, each distinct text quoted once."""
+    if values and isinstance(values[0], str):
+        quoted = {text: _csv_text_field(text) for text in set(values)}
+        return list(map(quoted.__getitem__, values))
+    return list(map(repr, values))
+
+
+def _write_csv(path: str | Path, header: list[str], columns) -> None:
+    """Write ``header`` and the equal-length ``columns`` as CSV, column-wise.
+
+    Every CSV output goes through here, so all share the ``csv`` module's
+    default dialect (comma, ``QUOTE_MINIMAL``) with ``\n`` line endings.
+    A column is a sequence of numbers or of ``str``; each slice of it goes
+    through ``np.asarray(...).tolist()``, so numpy and Python values alike
+    become Python scalars. Numbers are written as their ``repr``, the
+    shortest text that reads back to the same value and what ``csv``
+    writes for a Python float or int. Each distinct text value is quoted
+    by the ``csv`` module itself, so a value holding ``,`` or ``"`` reads
+    back unchanged. A stride-0 numpy column (``np.broadcast_to``) is
+    constant: it is formatted once into the text around the other fields.
+    Rows are formatted and written ``_CSV_CHUNK`` at a time, so memory
+    stays bounded by one chunk whatever the row count.
     """
+    if len(columns) != len(header):
+        raise ValueError("one column per header field is required")
+    n = len(columns[0]) if columns else 0
+    if any(len(col) != n for col in columns):
+        raise ValueError("columns must have equal length")
+    # One row as text pieces around a None slot per varying field.
+    row, varying = [""], []
+    for i, col in enumerate(columns):
+        row[-1] += "," if i else ""
+        if n and isinstance(col, np.ndarray) and col.strides == (0,):
+            row[-1] += _csv_fields(col[:1].tolist())[0]
+        else:
+            row += [None, ""]
+            varying.append(col)
+    row[-1] += "\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for start in range(0, n, _CSV_CHUNK):
+            stop = min(start + _CSV_CHUNK, n)
+            pieces = row * (stop - start)
+            for j, col in enumerate(varying):
+                values = np.asarray(col[start:stop]).tolist()
+                pieces[2 * j + 1::len(row)] = _csv_fields(values)
+            fh.write("".join(pieces))
 
 
 def save_trace(trace: OptimizationTrace, path: str | Path) -> None:
-    columns = (trace.loss, trace.f_term, trace.g_term, trace.grad_norm)
     _write_csv(
         path,
         ["iteration", "loss", "f_term", "g_term", "grad_norm"],
-        ([int(it), *(repr(float(v)) for v in values)]
-         for it, *values in zip(trace.iterations, *columns)),
+        [trace.iterations, trace.loss, trace.f_term, trace.g_term, trace.grad_norm],
     )
 
 
@@ -341,10 +399,10 @@ def save_report(report: CoherenceReport, out_dir: str | Path, stem: str = "") ->
         "norm": out / f"{prefix}column_norm_cdf.csv",
         "summary": out / f"{prefix}coherence_summary.json",
     }
-    # Generators, not lists: the inner-product CDF has up to 2.1 M rows.
     for key, kind, values in (("inner", "inner_product", report.inner_product_cdf),
                               ("norm", "column_norm", report.column_norm_cdf)):
-        _write_csv(paths[key], ["kind", "value"], ((kind, repr(float(v))) for v in values))
+        # The inner-product CDF has up to 2.1 M rows; the broadcast kind costs no memory.
+        _write_csv(paths[key], ["kind", "value"], [np.broadcast_to(kind, len(values)), values])
     paths["summary"].write_text(json.dumps(report.summary_dict(), indent=2) + "\n")
     return paths
 
@@ -499,30 +557,24 @@ def run_estimate(
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    tags, snr_values = np.asarray(methods), np.asarray(snrs, dtype=float)
+    method_idx, snr_idx, trial_idx = np.indices(nmse_values.shape).reshape(3, -1)
     header = ["method", "snr_db", "trial_index", "seed", "nmse"]
+    # Seeds as Python ints: base_seed is unbounded, numpy ints would wrap.
+    columns = [tags[method_idx], snr_values[snr_idx], trial_idx,
+               cfg.base_seed + trial_idx.astype(object), nmse_values.ravel()]
     if timing:
         header.append("elapsed_ms")
-
-    def trial_rows():
-        for cell in cells:
-            i, j, trial = cell
-            row = [methods[i], repr(float(snrs[j])), trial, cfg.base_seed + trial,
-                   repr(float(nmse_values[cell]))]
-            if timing:
-                row.append(repr(float(elapsed_ms[cell])))
-            yield row
-
+        columns.append(elapsed_ms.ravel())
     trials_path = out / "trials.csv"
-    _write_csv(trials_path, header, trial_rows())
-    medians = np.median(nmse_values, axis=2)
-    means = np.mean(nmse_values, axis=2)
+    _write_csv(trials_path, header, columns)
+    method_idx, snr_idx = np.indices(nmse_values.shape[:2]).reshape(2, -1)
     summary_path = out / "summary.csv"
     _write_csv(
         summary_path,
         ["method", "snr_db", "num_trials", "nmse_median", "nmse_mean"],
-        ([methods[i], repr(float(snrs[j])), ev.num_trials,
-          repr(float(medians[i, j])), repr(float(means[i, j]))]
-         for i, j in np.ndindex(medians.shape)),
+        [tags[method_idx], snr_values[snr_idx], np.broadcast_to(ev.num_trials, method_idx.size),
+         np.median(nmse_values, axis=2).ravel(), np.mean(nmse_values, axis=2).ravel()],
     )
     return {"trials": trials_path, "summary": summary_path, "methods": methods,
             "nmse": nmse_values}
@@ -607,7 +659,7 @@ def run_sweep(
     _write_csv(
         table_path,
         ["lambda_bar", "allocation_size", "mutual_coherence", "design_file"],
-        ([repr(lam), q, repr(float(mu)), name] for lam, q, mu, name in rows),
+        list(zip(*rows)),
     )
     selected = None
     if target_q is not None:

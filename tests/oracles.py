@@ -7,7 +7,11 @@ full-sensing-matrix objective from a dense ``Psi``, the AoA dictionary
 coherence from its dense Gram, the channel of a virtual-gain vector and of
 a path realization as sums of Kronecker (Khatri-Rao) columns. ``median_difference_ci`` is the paired
 bootstrap interval the end-to-end acceptance criterion is judged by.
+``write_csv_rows`` is the row-wise ``csv.writer`` route the column-wise
+CSV writer must match byte for byte.
 """
+
+import csv
 
 import numpy as np
 
@@ -172,3 +176,14 @@ def median_difference_ci(a, b, n_boot=2000, seed=0, confidence=0.95):
         float(np.quantile(diffs, tail)),
         float(np.quantile(diffs, 1.0 - tail)),
     )
+
+
+def write_csv_rows(path, header, rows):
+    """Write ``header`` and then ``rows`` through ``csv.writer`` with ``\n`` line endings.
+
+    Callers format floats as ``repr(float(x))``; ints and text go in as they are.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)

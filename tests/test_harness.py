@@ -1,16 +1,20 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pilotopt import (
+    ChannelModelConfig,
     ConfigError,
     build_dictionaries,
     coherence_report,
+    gaussian_init,
     load_design,
     load_experiment_config,
     make_baseline_design,
+    optimize,
     run_baseline,
     run_design,
     run_estimate,
@@ -19,9 +23,10 @@ from pilotopt import (
     run_sweep,
     save_design,
 )
+from pilotopt import harness
 from pilotopt.cli import main
 
-from oracles import median_difference_ci
+from oracles import median_difference_ci, write_csv_rows
 
 
 TINY_OVERRIDES = """
@@ -81,10 +86,26 @@ class TestConfigLoading:
         assert cfg.base_seed == 99
         assert cfg.optimizer.seed == 99
 
+    def test_non_utf8_config_rejected(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"num_trials = 2\n\xff\n")
+        with pytest.raises(ConfigError, match="not text"):
+            load_experiment_config("desk", path)
+
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("\n# comment only\nnum_trials = 2  # trailing comment\n\n")
         assert load_experiment_config("desk", path).evaluation.num_trials == 2
+
+
+class TestChannelModelConfig:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rician_k_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            ChannelModelConfig(num_paths=3, rician_k_db=value)
+
+    def test_finite_accepted(self):
+        assert ChannelModelConfig(num_paths=3, rician_k_db=-5.0).rician_k_db == -5.0
 
 
 class TestDesignPersistence:
@@ -158,6 +179,28 @@ class TestDesignPersistence:
 
         with pytest.raises(ConfigError, match="outside the allocation"):
             load_design(self._corrupt(tmp_path, change))
+
+    @pytest.mark.parametrize("fields", [
+        {"K": -16, "M": -4},  # negative sizes whose product matches the pilot width
+        {"K": float("inf")},
+        {"Pt": 10**400},
+    ])
+    def test_unrepresentable_fields_rejected(self, tmp_path, fields):
+        with pytest.raises(ConfigError):
+            load_design(self._corrupt(tmp_path, lambda payload: payload.update(fields)))
+
+    def test_huge_pilot_entry_rejected(self, tmp_path):
+        def change(payload):
+            payload["x_real"][0][0] = 10**400
+
+        with pytest.raises(ConfigError):
+            load_design(self._corrupt(tmp_path, change))
+
+    def test_non_utf8_design_rejected(self, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_bytes(b'{"K": \x80}')
+        with pytest.raises(ConfigError, match="malformed"):
+            load_design(path)
 
 
 class TestBaseline:
@@ -337,6 +380,148 @@ class TestRunSweep:
         assert out["selected"] == best
         meta = json.loads((tmp_path / "s" / "sweep_summary.json").read_text())
         assert meta["selected"] == rows[best][3]
+
+
+def _oracle_bytes(tmp_path, header, rows):
+    path = tmp_path / "oracle.csv"
+    write_csv_rows(path, header, rows)
+    return path.read_bytes()
+
+
+class TestCsvWriter:
+    """The column-wise writer against the row-wise csv.writer route, byte for byte."""
+
+    def _check(self, tmp_path, header, columns, rows):
+        path = tmp_path / "out.csv"
+        harness._write_csv(path, header, columns)
+        assert path.read_bytes() == _oracle_bytes(tmp_path, header, rows)
+
+    def test_trace_matches_row_route(self, tiny_cfg, tmp_path):
+        dicts = build_dictionaries(tiny_cfg.grids, tiny_cfg.system)
+        x0 = gaussian_init(16, 8, 4, 0)
+        _, trace = optimize(x0, dicts, tiny_cfg.optimizer, tiny_cfg.system.total_power)
+        columns = (trace.loss, trace.f_term, trace.g_term, trace.grad_norm)
+        rows = [[int(it), *(repr(float(v)) for v in values)]
+                for it, *values in zip(trace.iterations, *columns)]
+        harness.save_trace(trace, tmp_path / "trace.csv")
+        header = ["iteration", "loss", "f_term", "g_term", "grad_norm"]
+        assert (tmp_path / "trace.csv").read_bytes() == _oracle_bytes(tmp_path, header, rows)
+
+    def test_report_cdfs_match_row_route(self, tiny_cfg, tmp_path):
+        d = run_design(tiny_cfg, tmp_path / "d")["design"]
+        dicts = build_dictionaries(tiny_cfg.grids, tiny_cfg.system)
+        report = coherence_report(load_design(d), dicts, tiny_cfg.optimizer.p)
+        paths = harness.save_report(report, tmp_path / "r", stem="x")
+        for key, kind, values in (("inner", "inner_product", report.inner_product_cdf),
+                                  ("norm", "column_norm", report.column_norm_cdf)):
+            rows = [(kind, repr(float(v))) for v in values]
+            assert paths[key].read_bytes() == _oracle_bytes(tmp_path, ["kind", "value"], rows)
+
+    def test_estimate_tables_match_row_route(self, tiny_cfg, tmp_path):
+        d = run_design(tiny_cfg, tmp_path / "d")["design"]
+        b = run_baseline(tiny_cfg, len(load_design(d).allocation), tmp_path / "design_b.json")
+        out = run_estimate(tiny_cfg, [d, b], tmp_path / "e")
+        snrs = tiny_cfg.evaluation.snr_db_list
+        nmse_values = out["nmse"]
+        trial_rows = [
+            [out["methods"][i], repr(float(snrs[j])), t, tiny_cfg.base_seed + t,
+             repr(float(nmse_values[i, j, t]))]
+            for i, j, t in np.ndindex(nmse_values.shape)
+        ]
+        header = ["method", "snr_db", "trial_index", "seed", "nmse"]
+        assert out["trials"].read_bytes() == _oracle_bytes(tmp_path, header, trial_rows)
+        medians = np.median(nmse_values, axis=2)
+        means = np.mean(nmse_values, axis=2)
+        summary_rows = [
+            [out["methods"][i], repr(float(snrs[j])), tiny_cfg.evaluation.num_trials,
+             repr(float(medians[i, j])), repr(float(means[i, j]))]
+            for i, j in np.ndindex(medians.shape)
+        ]
+        header = ["method", "snr_db", "num_trials", "nmse_median", "nmse_mean"]
+        assert out["summary"].read_bytes() == _oracle_bytes(tmp_path, header, summary_rows)
+
+    def test_large_base_seed_written_exactly(self, tiny_cfg, tmp_path):
+        cfg = replace(tiny_cfg, base_seed=2**64 + 3)
+        b = run_baseline(cfg, 4, tmp_path / "design_b.json")
+        out = run_estimate(cfg, [b], tmp_path / "e")
+        with open(out["trials"], newline="") as fh:
+            seeds = [int(r["seed"]) for r in csv.DictReader(fh)]
+        assert seeds == [2**64 + 3 + t for t in range(cfg.evaluation.num_trials)]
+
+    def test_sweep_table_matches_row_route(self, tiny_cfg, tmp_path):
+        out = run_sweep(tiny_cfg, [0.0, 1.5], tmp_path / "s")
+        rows = [[repr(lam), q, repr(float(mu)), name] for lam, q, mu, name in out["rows"]]
+        header = ["lambda_bar", "allocation_size", "mutual_coherence", "design_file"]
+        assert out["table"].read_bytes() == _oracle_bytes(tmp_path, header, rows)
+
+    def test_empty_columns_write_header_only(self, tmp_path):
+        empty = np.zeros(0)
+        self._check(tmp_path, ["kind", "value"], [np.broadcast_to("k", 0), empty], [])
+        self._check(tmp_path, ["a", "b"], [[], empty], [])
+
+    def test_float_edge_values(self, tmp_path):
+        values = np.array([0.0, -0.0, 5e-324, 1e-05, 0.1 + 0.2, 1e16, 1e22, 1.0 / 3.0,
+                           np.nextafter(1.0, 2.0), -1.5e-300, np.inf, -np.inf, np.nan])
+        self._check(tmp_path, ["kind", "value"], [np.broadcast_to("v", values.size), values],
+                    [("v", repr(float(v))) for v in values])
+        # A Python list of numpy scalars formats like the float array.
+        self._check(tmp_path, ["value"], [list(values)], [[repr(float(v))] for v in values])
+
+    def test_large_int_seeds(self, tmp_path):
+        seeds = [0, 7, 2**63 - 1, 2**63, 2**64 + 5, 10**30]
+        trials = np.arange(len(seeds))
+        self._check(tmp_path, ["trial", "seed"], [trials, np.asarray(seeds, dtype=object)],
+                    [[t, s] for t, s in zip(range(len(seeds)), seeds)])
+        self._check(tmp_path, ["trial", "seed"], [trials, seeds],
+                    [[t, s] for t, s in zip(range(len(seeds)), seeds)])
+
+    def test_text_quoting(self, tmp_path):
+        tags = ['a,"b"', "plain", "", 'say "hi"', "two\nlines", "cr\rhere", " padded ", "x;y"]
+        nums = np.arange(len(tags), dtype=float) / 7.0
+        self._check(tmp_path, ["method", "nmse"], [np.asarray(tags), nums],
+                    [[t, repr(float(v))] for t, v in zip(tags, nums)])
+        self._check(tmp_path, ["nmse", "file"], [nums, tags],
+                    [[repr(float(v)), t] for t, v in zip(tags, nums)])
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_chunk_boundary(self, tmp_path, offset):
+        n = harness._CSV_CHUNK + offset
+        values = np.random.default_rng(offset + 1).random(n)
+        self._check(tmp_path, ["kind", "value"], [np.broadcast_to("inner_product", n), values],
+                    [("inner_product", repr(float(v))) for v in values])
+
+    @pytest.mark.parametrize("n", [1, 4, 5, 6, 11])
+    def test_mixed_columns_across_small_chunks(self, tmp_path, monkeypatch, n):
+        monkeypatch.setattr(harness, "_CSV_CHUNK", 5)
+        rng = np.random.default_rng(n)
+        tags = [("a,b", "c", 'd"e')[i % 3] for i in range(n)]
+        values = rng.standard_normal(n)
+        ints = np.arange(n) * 3
+        columns = [np.broadcast_to('lead,"x"', n), np.asarray(tags), ints,
+                   np.broadcast_to(42, n), values, np.broadcast_to("tail", n)]
+        rows = [['lead,"x"', t, int(i), 42, repr(float(v)), "tail"]
+                for t, i, v in zip(tags, ints, values)]
+        self._check(tmp_path, ["a", "b", "c", "d", "e", "f"], columns, rows)
+        # Only constant columns: every row is the same folded text.
+        self._check(tmp_path, ["a", "b"], columns[-1:] + columns[:1],
+                    [["tail", 'lead,"x"']] * n)
+
+    def test_mismatched_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="equal length"):
+            harness._write_csv(tmp_path / "x.csv", ["a", "b"], [[1, 2], [1]])
+        with pytest.raises(ValueError, match="header"):
+            harness._write_csv(tmp_path / "x.csv", ["a"], [[1], [2]])
+
+    def test_quoted_method_tag_reads_back(self, tiny_cfg, tmp_path):
+        d = run_design(tiny_cfg, tmp_path / "d")["design"]
+        tagged = tmp_path / 'design_a,"b".json'
+        tagged.write_bytes(d.read_bytes())
+        out = run_estimate(tiny_cfg, [tagged], tmp_path / "e")
+        for key in ("trials", "summary"):
+            with open(out[key], newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert rows and all(r["method"] == 'a,"b"' for r in rows)
+        assert out["trials"].read_text().splitlines()[1].startswith('"a,""b""",')
 
 
 class TestBootstrapCI:
