@@ -25,8 +25,6 @@ from .coherence import (
     build_omega,
     build_sensing_matrix,
     coherence_report,
-    f_omega,
-    generalized_coherence,
     mutual_coherence,
     welch_bound,
 )
@@ -35,11 +33,9 @@ from .dictionary import (
     GridSpec,
     build_dictionaries,
     decode_grid_index,
-    encode_grid_index,
     make_grids,
 )
 from .errors import (
-    CapacityError,
     ConfigError,
     DegenerateDesignError,
     DegenerateInputError,

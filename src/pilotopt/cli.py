@@ -7,7 +7,8 @@ allocation size, ``estimate`` runs the Monte-Carlo NMSE evaluation,
 gradient against finite differences, and ``sweep-lambda`` scans the
 sparsity weight.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration or file error (``ConfigError``,
+``OSError``), 3 numerical failure (any other package error).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import argparse
 import math
 import sys
 
-from .errors import ConfigError, DegenerateDesignError, OptimizationDivergenceError
+from .errors import ConfigError, PilotOptError
 from . import harness
 
 EXIT_OK = 0
@@ -152,10 +153,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OptimizationDivergenceError, DegenerateDesignError, FloatingPointError) as exc:
+    except (PilotOptError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

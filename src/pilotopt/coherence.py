@@ -3,8 +3,8 @@
 The sensing matrix of the pilot measurement factorizes as
 ``Psi = Omega kron A_r`` where ``Omega`` collects the pilot-dependent
 delay/AoD part and ``A_r`` is the AoA dictionary. Every hot-path
-evaluation here works on the small ``Omega`` factor only; dense forms of
-``Psi`` exist solely as test oracles behind a memory cap.
+evaluation here works on the small ``Omega`` factor only; ``Psi`` is never
+formed.
 
 Column inner products of ``Omega`` obey
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dictionary import DictionarySet
-from .errors import CapacityError, DegenerateInputError
+from .errors import DegenerateInputError
 
 __all__ = [
     "DENSE_ENTRY_CAP",
@@ -35,15 +35,13 @@ __all__ = [
     "build_omega",
     "build_sensing_matrix",
     "CoherenceEngine",
-    "f_omega",
     "mutual_coherence",
-    "generalized_coherence",
     "welch_bound",
     "coherence_report",
 ]
 
-# Dense materializations (test oracles, Gram blocks) refuse above this many
-# complex entries (~64 MiB at complex128).
+# Entries per block of a factor-Gram scan or of the CDF pair sampling
+# (~64 MiB at complex128).
 DENSE_ENTRY_CAP = 1 << 22
 # Pair count of the seeded CDF subsample for Omega factors too wide for one
 # Gram block.
@@ -138,11 +136,6 @@ class SensingOperator:
     def shape(self) -> tuple[int, int]:
         return (self.omega.shape[0] * self.a_r.shape[0], self.omega.shape[1] * self.a_r.shape[1])
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        n_theta = self.a_r.shape[1]
-        cube = np.asarray(x).reshape(self.omega.shape[1], n_theta)
-        return (self.omega @ cube @ self.a_r.T).ravel()
-
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         """Adjoint product ``Psi^H y``."""
         n_r = self.a_r.shape[0]
@@ -161,14 +154,6 @@ class SensingOperator:
             a_norms = np.linalg.norm(self.a_r, axis=0)
             self._col_norms = np.kron(omega_norms, a_norms)
         return self._col_norms
-
-    def to_dense(self, entry_cap: int = DENSE_ENTRY_CAP) -> np.ndarray:
-        n, g = self.shape
-        if n * g > entry_cap:
-            raise CapacityError(
-                f"dense sensing matrix would need {n * g} entries (cap {entry_cap})"
-            )
-        return np.kron(self.omega, self.a_r)
 
 
 def build_sensing_matrix(design: PilotDesign, dicts: DictionarySet) -> SensingOperator:
@@ -240,11 +225,6 @@ class CoherenceEngine:
         return float(v_p ** (1.0 / p)), v_p, vgrad
 
 
-def f_omega(blocks: np.ndarray, dicts: DictionarySet, p: int) -> float:
-    """Coherence objective on the Omega factor (diagonal tuples included)."""
-    return CoherenceEngine(dicts).f_value_and_vgrad(np.asarray(blocks, dtype=complex), p)[0]
-
-
 def _column_norms_checked(matrix: np.ndarray, what: str) -> np.ndarray:
     norms = np.linalg.norm(matrix, axis=0)
     zero = np.flatnonzero(norms == 0)
@@ -301,30 +281,12 @@ def _kron_scan(
     return min(max(mu_omega, mu_ar), 1.0), sum_omega * sum_ar, omega_norms, upper
 
 
-def _off_diagonal_norm(power_sum: float, n_cols: int, p: int) -> float:
-    # The n_cols diagonal entries of a normalized Gram are exactly 1.
-    return float(max(power_sum - n_cols, 0.0) ** (1.0 / p))
+def mutual_coherence(op: SensingOperator) -> float:
+    """Largest normalized inner product between distinct columns of ``Psi``.
 
-
-def mutual_coherence(matrix_or_operator) -> float:
-    """Largest normalized inner product between distinct columns.
-
-    Accepts a dense matrix or a :class:`SensingOperator`; the operator case
-    scans only the two Kronecker factors.
+    Scans only the two Kronecker factors.
     """
-    if isinstance(matrix_or_operator, SensingOperator):
-        return _kron_scan(matrix_or_operator, None)[0]
-    matrix = np.asarray(matrix_or_operator)
-    mu, _, _ = _gram_scan(matrix, _column_norms_checked(matrix, "the matrix"), None)
-    return min(mu, 1.0)
-
-
-def generalized_coherence(matrix: np.ndarray, p: int) -> float:
-    """l_p aggregation of the off-diagonal normalized inner products."""
-    _require_even_p(p)
-    matrix = np.asarray(matrix)
-    _, total, _ = _gram_scan(matrix, _column_norms_checked(matrix, "the matrix"), p)
-    return _off_diagonal_norm(total, matrix.shape[1], p)
+    return _kron_scan(op, None)[0]
 
 
 def welch_bound(n_obs: int, n_atoms: int) -> float:
@@ -397,7 +359,8 @@ def coherence_report(design: PilotDesign, dicts: DictionarySet, p: int) -> Coher
         inner = _sampled_pair_values(op.omega, norms)
     return CoherenceReport(
         mutual_coherence=mu,
-        generalized=_off_diagonal_norm(power_sum, n_atoms, p),
+        # The n_atoms diagonal entries of a normalized Gram are exactly 1.
+        generalized=float(max(power_sum - n_atoms, 0.0) ** (1.0 / p)),
         p=p,
         welch=welch_bound(n_obs, n_atoms),
         n_obs=n_obs,

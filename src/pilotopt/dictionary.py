@@ -19,7 +19,6 @@ __all__ = [
     "DictionarySet",
     "make_grids",
     "build_dictionaries",
-    "encode_grid_index",
     "decode_grid_index",
 ]
 
@@ -106,15 +105,11 @@ def build_dictionaries(spec: GridSpec, config: SystemConfig) -> DictionarySet:
     return DictionarySet(theta_grid=theta, phi_grid=phi, tau_grid=tau, a_r=a_r, a_t=a_t, b=b)
 
 
-def encode_grid_index(g_tau: int, g_phi: int, g_theta: int, spec: GridSpec) -> int:
-    """Flatten a (delay, AoD, AoA) tuple into the dictionary column index."""
-    if not (0 <= g_tau < spec.g_tau and 0 <= g_phi < spec.g_phi and 0 <= g_theta < spec.g_theta):
-        raise ValueError("grid index out of range")
-    return (g_tau * spec.g_phi + g_phi) * spec.g_theta + g_theta
-
-
 def decode_grid_index(g: int, spec: GridSpec) -> tuple[int, int, int]:
-    """Inverse of :func:`encode_grid_index`; returns (g_tau, g_phi, g_theta)."""
+    """Split a dictionary column index into (g_tau, g_phi, g_theta).
+
+    Inverts ``g = (g_tau * G_phi + g_phi) * G_theta + g_theta``.
+    """
     if not 0 <= g < spec.total:
         raise ValueError("grid index out of range")
     g_theta = g % spec.g_theta

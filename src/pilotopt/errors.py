@@ -13,10 +13,6 @@ class DegenerateDesignError(PilotOptError, ValueError):
     """Every pilot block fell below the zero threshold; no allocation remains."""
 
 
-class CapacityError(PilotOptError, RuntimeError):
-    """A dense materialization would exceed the configured memory cap."""
-
-
 class OptimizationDivergenceError(PilotOptError, RuntimeError):
     """Non-finite loss or gradient encountered during optimization."""
 

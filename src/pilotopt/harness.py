@@ -64,6 +64,11 @@ _NOISE_STREAM = 1
 _BASELINE_STREAM = 2
 _GRADCHECK_STREAM = 3
 
+# Gradient check: random (X, direction) pairs, central-difference step, relative tolerance.
+_GRADCHECK_PAIRS = 10
+_GRADCHECK_STEP = 1e-5
+_GRADCHECK_TOL = 1e-4
+
 
 @dataclass(frozen=True)
 class ChannelModelConfig:
@@ -107,6 +112,10 @@ class ExperimentConfig:
     channel: ChannelModelConfig
     evaluation: EvaluationConfig
     base_seed: int
+
+    def __post_init__(self) -> None:
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be non-negative")
 
 
 _DESK_PROFILE = {
@@ -210,9 +219,9 @@ def _config_from_values(values: dict) -> ExperimentConfig:
     top = sections.pop(None)
     try:
         parts = {name: _FIELD_TYPES[name](**kwargs) for name, kwargs in sections.items()}
+        return ExperimentConfig(**parts, **top)
     except ValueError as exc:
         raise ConfigError("config", str(exc)) from exc
-    return ExperimentConfig(**parts, **top)
 
 
 def profile_config(name: str) -> ExperimentConfig:
@@ -278,6 +287,12 @@ def save_design(design: PilotDesign, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload) + "\n")
 
 
+def _json_int(value) -> int:
+    if type(value) is not int:  # refuses floats, and true/false, which load as bool
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def load_design(path: str | Path) -> PilotDesign:
     """Read a design JSON, validating shape, values, allocation and power."""
     path = Path(path)
@@ -288,12 +303,12 @@ def load_design(path: str | Path) -> PilotDesign:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError("design", f"malformed JSON in {path}: {exc}") from exc
     try:
-        k, m, nt = int(payload["K"]), int(payload["M"]), int(payload["Nt"])
+        k, m, nt = (_json_int(payload[key]) for key in ("K", "M", "Nt"))
         pt = float(payload["Pt"])
         full = np.asarray(payload["x_real"], dtype=float) + 1j * np.asarray(
             payload["x_imag"], dtype=float
         )
-        allocation = tuple(int(v) for v in payload["allocation"])
+        allocation = tuple(_json_int(v) for v in payload["allocation"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError("design", f"missing or invalid field in {path}: {exc}") from exc
     if min(k, m, nt) < 1:
@@ -594,31 +609,29 @@ def run_report(cfg: ExperimentConfig, design_path: str | Path, out_dir: str | Pa
     return save_report(report, out_dir, stem=tag)
 
 
-def run_gradcheck(
-    cfg: ExperimentConfig, num_pairs: int = 10, step: float = 1e-5, tol: float = 1e-4
-) -> list[dict]:
+def run_gradcheck(cfg: ExperimentConfig) -> list[dict]:
     """Central-difference check of the closed-form gradient.
 
     For each random (X, direction) pair the directional derivative of the
-    loss must match 2 Re<grad, direction> within ``tol`` relative error.
+    loss must match 2 Re<grad, direction> within _GRADCHECK_TOL relative error.
     """
     sys_cfg = cfg.system
     dicts = build_dictionaries(cfg.grids, sys_cfg)
     rng = np.random.default_rng((cfg.base_seed, _GRADCHECK_STREAM))
     shape = (sys_cfg.num_subcarriers, sys_cfg.num_tx, sys_cfg.seq_len)
     results = []
-    for i in range(num_pairs):
+    for i in range(_GRADCHECK_PAIRS):
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         delta = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         delta /= np.linalg.norm(delta)
         grad = loss_gradient(x, dicts, cfg.optimizer)
         analytic = 2.0 * float(np.real(np.vdot(grad, delta)))
-        plus = loss(x + step * delta, dicts, cfg.optimizer)
-        minus = loss(x - step * delta, dicts, cfg.optimizer)
-        fd = (plus - minus) / (2.0 * step)
+        plus = loss(x + _GRADCHECK_STEP * delta, dicts, cfg.optimizer)
+        minus = loss(x - _GRADCHECK_STEP * delta, dicts, cfg.optimizer)
+        fd = (plus - minus) / (2.0 * _GRADCHECK_STEP)
         rel = abs(fd - analytic) / max(abs(fd), abs(analytic), 1e-30)
         results.append({"pair": i, "fd": fd, "analytic": analytic, "rel_err": rel,
-                        "ok": rel <= tol})
+                        "ok": rel <= _GRADCHECK_TOL})
     return results
 
 

@@ -72,6 +72,8 @@ class OptimizerConfig:
             raise ValueError("eps must be positive")
         if self.zero_threshold_rel <= 0:
             raise ValueError("zero_threshold_rel must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass

@@ -2,13 +2,17 @@
 
 Each oracle evaluates a quantity straight from its defining formula: one
 Omega Gram entry from the subcarrier sum, the coherence objective and its
-gradient from the full (G_tau^2, G_phi^2) Omega Gram tensor, the
-full-sensing-matrix objective from a dense ``Psi``, the AoA dictionary
-coherence from its dense Gram, the channel of a virtual-gain vector and of
-a path realization as sums of Kronecker (Khatri-Rao) columns. ``median_difference_ci`` is the paired
-bootstrap interval the end-to-end acceptance criterion is judged by.
-``write_csv_rows`` is the row-wise ``csv.writer`` route the column-wise
-CSV writer must match byte for byte.
+gradient from the full (G_tau^2, G_phi^2) Omega Gram tensor, the dense
+``Psi = Omega kron A_r`` (behind a memory cap) and its forward product,
+the full-sensing-matrix objective from a dense ``Psi``, mutual and
+generalized coherence from a dense normalized Gram, the AoA dictionary
+coherence from its dense Gram, the flat grid index of a (delay, AoD, AoA)
+tuple, the channel of a virtual-gain vector and of a path realization as
+sums of Kronecker (Khatri-Rao) columns. ``f_omega`` is the engine's
+objective value alone, for tests that need no gradient.
+``median_difference_ci`` is the paired bootstrap interval the end-to-end
+acceptance criterion is judged by. ``write_csv_rows`` is the row-wise
+``csv.writer`` route the column-wise CSV writer must match byte for byte.
 """
 
 import csv
@@ -16,7 +20,7 @@ import csv
 import numpy as np
 
 from pilotopt import (
-    CapacityError,
+    CoherenceEngine,
     PilotDesign,
     build_sensing_matrix,
     delay_response,
@@ -25,9 +29,59 @@ from pilotopt import (
 from pilotopt.coherence import DENSE_ENTRY_CAP
 
 
+class CapacityError(RuntimeError):
+    """A dense materialization would exceed its memory cap."""
+
+
 def _require_even_p(p):
     if p < 2 or p % 2 != 0:
         raise ValueError("p must be an even integer >= 2")
+
+
+def encode_grid_index(g_tau, g_phi, g_theta, spec):
+    """Flat dictionary column index ``(g_tau * G_phi + g_phi) * G_theta + g_theta``."""
+    if not (0 <= g_tau < spec.g_tau and 0 <= g_phi < spec.g_phi and 0 <= g_theta < spec.g_theta):
+        raise ValueError("grid index out of range")
+    return (g_tau * spec.g_phi + g_phi) * spec.g_theta + g_theta
+
+
+def dense_psi(op, entry_cap=DENSE_ENTRY_CAP):
+    """The sensing operator's matrix ``Omega kron A_r``, refused above ``entry_cap`` entries."""
+    n, g = op.shape
+    if n * g > entry_cap:
+        raise CapacityError(f"dense sensing matrix would need {n * g} entries (cap {entry_cap})")
+    return np.kron(op.omega, op.a_r)
+
+
+def psi_matvec(op, x):
+    """Forward product ``Psi x`` as ``vec(Omega X A_r^T)``, X the (G_tau G_phi, G_theta) reshape."""
+    cube = np.asarray(x).reshape(op.omega.shape[1], op.a_r.shape[1])
+    return (op.omega @ cube @ op.a_r.T).ravel()
+
+
+def _off_diagonal_normalized_gram(matrix):
+    """|<m_i, m_j>| / (||m_i|| ||m_j||) for i != j, zero on the diagonal."""
+    matrix = np.asarray(matrix)
+    norms = np.linalg.norm(matrix, axis=0)
+    gram = np.abs(matrix.conj().T @ matrix) / np.outer(norms, norms)
+    np.fill_diagonal(gram, 0.0)
+    return gram
+
+
+def dense_mutual_coherence(matrix):
+    """Largest normalized inner product between distinct columns of a dense matrix."""
+    return float(_off_diagonal_normalized_gram(matrix).max())
+
+
+def dense_generalized_coherence(matrix, p):
+    """l_p norm of the off-diagonal normalized inner products of a dense matrix."""
+    _require_even_p(p)
+    return float(np.sum(_off_diagonal_normalized_gram(matrix) ** p) ** (1.0 / p))
+
+
+def f_omega(blocks, dicts, p):
+    """Coherence objective on the Omega factor (diagonal tuples included)."""
+    return CoherenceEngine(dicts).f_value_and_vgrad(np.asarray(blocks, dtype=complex), p)[0]
 
 
 def c_omega(blocks, dicts, g_tau, g_tau2, g_phi, g_phi2):
@@ -124,7 +178,7 @@ def f_psi_reference(blocks, dicts, p, entry_cap=DENSE_ENTRY_CAP):
     g = op.shape[1]
     if g * g > entry_cap:
         raise CapacityError(f"dense Gram would need {g * g} entries (cap {entry_cap})")
-    psi = op.to_dense(entry_cap)
+    psi = dense_psi(op, entry_cap)
     gram = psi.conj().T @ psi
     return float(np.sum(np.abs(gram) ** p) ** (1.0 / p))
 

@@ -25,7 +25,6 @@ from pilotopt import (
     build_sensing_matrix,
     coherence_report,
     decode_grid_index,
-    f_omega,
     gaussian_init,
     load_experiment_config,
     loss,
@@ -43,7 +42,7 @@ from pilotopt import (
 )
 from pilotopt.cli import main as cli_main
 
-from oracles import c_omega, f_psi_reference, median_difference_ci, t_p_dictionary
+from oracles import c_omega, f_omega, f_psi_reference, median_difference_ci, t_p_dictionary
 
 
 def _report(name: str, ok: bool, detail: str) -> None:

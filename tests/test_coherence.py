@@ -5,20 +5,18 @@ import pytest
 
 from pilotopt import coherence
 from pilotopt import (
-    CapacityError,
     CoherenceEngine,
     DegenerateInputError,
     GridSpec,
     PilotDesign,
+    SensingOperator,
     SystemConfig,
     build_dictionaries,
     build_omega,
     build_sensing_matrix,
     coherence_report,
     delay_response,
-    f_omega,
     gaussian_init,
-    generalized_coherence,
     load_experiment_config,
     make_baseline_design,
     mutual_coherence,
@@ -26,10 +24,16 @@ from pilotopt import (
 )
 
 from oracles import (
+    CapacityError,
     c_omega,
+    dense_generalized_coherence,
+    dense_mutual_coherence,
+    dense_psi,
+    f_omega,
     f_psi_reference,
     full_gram_tensor,
     full_gram_value_and_vgrad,
+    psi_matvec,
     t_p_dictionary,
 )
 
@@ -288,36 +292,48 @@ class TestTPDictionary:
         assert t_p_dictionary(dicts.a_r, 4) >= nr * g_theta**0.25 - 1e-12
 
 
+def _single_aoa_operator(matrix):
+    """Sensing operator whose Psi is ``matrix``: Omega = matrix, A_r = [[1]]."""
+    return SensingOperator(omega=np.asarray(matrix, dtype=complex), a_r=np.ones((1, 1)))
+
+
 class TestScalarCoherenceMetrics:
     def test_identity_has_zero_coherence(self):
-        assert mutual_coherence(np.eye(5)) == 0.0
-        assert generalized_coherence(np.eye(5), 4) == 0.0
+        # Psi = I_5 kron I_2 = I_10
+        assert mutual_coherence(SensingOperator(omega=np.eye(5), a_r=np.eye(2))) == 0.0
+        assert dense_mutual_coherence(np.eye(5)) == 0.0
+        assert dense_generalized_coherence(np.eye(5), 4) == 0.0
 
     def test_hand_computed_pair(self):
         m = np.array([[1.0, 1 / np.sqrt(2)], [0.0, 1 / np.sqrt(2)]])
-        assert mutual_coherence(m) == pytest.approx(1 / np.sqrt(2), rel=1e-12)
+        assert dense_mutual_coherence(m) == pytest.approx(1 / np.sqrt(2), rel=1e-12)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(8)
         m = rng.standard_normal((6, 10)) + 1j * rng.standard_normal((6, 10))
-        base = mutual_coherence(m)
+        base = mutual_coherence(_single_aoa_operator(m))
+        assert base > 0.0
         # power-of-two scales are exact in binary floating point
         for s in (0.5, 2.0, 4.0, 0.25):
-            assert mutual_coherence(s * m) == base
+            assert mutual_coherence(_single_aoa_operator(s * m)) == base
         # arbitrary scales cancel analytically, up to last-ulp rounding
-        assert mutual_coherence(3.0 * m) == pytest.approx(base, rel=1e-15)
+        assert mutual_coherence(_single_aoa_operator(3.0 * m)) == pytest.approx(base, rel=1e-15)
 
     def test_zero_column_named_in_error(self):
         m = np.ones((3, 4), dtype=complex)
         m[:, 2] = 0.0
-        with pytest.raises(DegenerateInputError, match="column 2"):
-            mutual_coherence(m)
+        with pytest.raises(DegenerateInputError, match="column 2 of the pilot factor"):
+            mutual_coherence(_single_aoa_operator(m))
+        a_r = np.ones((2, 3), dtype=complex)
+        a_r[:, 1] = 0.0
+        with pytest.raises(DegenerateInputError, match="column 1 of the AoA dictionary"):
+            mutual_coherence(SensingOperator(omega=np.eye(3), a_r=a_r))
 
     def test_generalized_decreases_towards_mutual(self):
         rng = np.random.default_rng(9)
         m = rng.standard_normal((8, 20)) + 1j * rng.standard_normal((8, 20))
-        mu = mutual_coherence(m)
-        nus = [generalized_coherence(m, p) for p in (2, 4, 8, 16)]
+        mu = dense_mutual_coherence(m)
+        nus = [dense_generalized_coherence(m, p) for p in (2, 4, 8, 16)]
         assert all(a >= b - 1e-12 for a, b in zip(nus, nus[1:]))
         assert all(nu >= mu - 1e-12 for nu in nus)
 
@@ -331,7 +347,9 @@ class TestScalarCoherenceMetrics:
     def test_welch_bound_below_mutual_coherence(self):
         rng = np.random.default_rng(10)
         m = rng.standard_normal((6, 24)) + 1j * rng.standard_normal((6, 24))
-        assert welch_bound(6, 24) <= mutual_coherence(m)
+        op = _single_aoa_operator(m)
+        assert op.shape == (6, 24)
+        assert welch_bound(6, 24) <= mutual_coherence(op)
 
 
 class TestSensingOperator:
@@ -341,11 +359,11 @@ class TestSensingOperator:
             blocks=blocks, allocation=tuple(range(8)), total_power=float(np.sum(np.abs(blocks) ** 2))
         )
         op = build_sensing_matrix(design, dicts)
-        psi = op.to_dense()
+        psi = dense_psi(op)
         rng = np.random.default_rng(12)
         x = rng.standard_normal(spec.total) + 1j * rng.standard_normal(spec.total)
         y = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
-        np.testing.assert_allclose(op.matvec(x), psi @ x, rtol=1e-12, atol=1e-10)
+        np.testing.assert_allclose(psi_matvec(op, x), psi @ x, rtol=1e-12, atol=1e-10)
         np.testing.assert_allclose(op.rmatvec(y), psi.conj().T @ y, rtol=1e-12, atol=1e-10)
         np.testing.assert_allclose(op.column_norms(), np.linalg.norm(psi, axis=0), rtol=1e-10)
         for g in rng.integers(0, spec.total, 5):
@@ -357,7 +375,7 @@ class TestSensingOperator:
         op = build_sensing_matrix(design, dicts)
         e = np.zeros(spec.total, dtype=complex)
         e[37] = 1.0
-        np.testing.assert_allclose(op.matvec(e), op.column(37), atol=1e-13)
+        np.testing.assert_allclose(psi_matvec(op, e), op.column(37), atol=1e-13)
 
     def test_restriction_drops_rows(self):
         cfg, spec, dicts, blocks = small_setup(14)
@@ -372,8 +390,8 @@ class TestSensingOperator:
         full = build_sensing_matrix(everywhere, dicts)
         assert full.shape[0] == cfg.num_rx * cfg.seq_len * 8
         # unallocated rows of the unrestricted operator are zero
-        dense_full = full.to_dense()
-        dense_sub = op.to_dense()
+        dense_full = dense_psi(full)
+        dense_sub = dense_psi(op)
         m, nr = cfg.seq_len, cfg.num_rx
         rows = np.concatenate([np.arange(k * m * nr, (k + 1) * m * nr) for k in allocation])
         np.testing.assert_allclose(dense_full[rows], dense_sub, atol=1e-13)
@@ -390,7 +408,7 @@ class TestSensingOperator:
         # psi_g^H psi_g' = c_omega * (a_r^H a_r'), checked on the dense matrix
         _, spec, dicts, blocks = small_setup(15)
         design = PilotDesign(blocks=blocks, allocation=tuple(range(8)), total_power=1.0)
-        psi = build_sensing_matrix(design, dicts).to_dense()
+        psi = dense_psi(build_sensing_matrix(design, dicts))
         rng = np.random.default_rng(16)
         for _ in range(20):
             g1, g2 = rng.integers(0, spec.total, 2)
@@ -419,13 +437,14 @@ class TestSensingOperator:
         design = PilotDesign(blocks=blocks, allocation=tuple(range(8)), total_power=1.0)
         op = build_sensing_matrix(design, dicts)
         with pytest.raises(CapacityError):
-            op.to_dense(entry_cap=100)
+            dense_psi(op, entry_cap=100)
 
     def test_operator_mutual_coherence_matches_dense(self):
         _, _, dicts, blocks = small_setup(18)
         design = PilotDesign(blocks=blocks, allocation=tuple(range(8)), total_power=1.0)
         op = build_sensing_matrix(design, dicts)
-        assert mutual_coherence(op) == pytest.approx(mutual_coherence(op.to_dense()), abs=1e-12)
+        dense = dense_mutual_coherence(dense_psi(op))
+        assert mutual_coherence(op) == pytest.approx(dense, abs=1e-12)
 
 
 class TestCoherenceReport:
@@ -473,13 +492,15 @@ class TestCoherenceReport:
             masked[list(allocation)] = blocks[list(allocation)]
             design = PilotDesign(blocks=masked, allocation=allocation, total_power=1.0)
             op = build_sensing_matrix(design, dicts)
-            psi = op.to_dense()
+            psi = dense_psi(op)
             for p in (2, 4, 6):
                 report = coherence_report(design, dicts, p)
                 assert report.generalized == pytest.approx(
-                    generalized_coherence(psi, p), rel=1e-9
+                    dense_generalized_coherence(psi, p), rel=1e-9
                 )
-                assert report.mutual_coherence == pytest.approx(mutual_coherence(psi), abs=1e-12)
+                assert report.mutual_coherence == pytest.approx(
+                    dense_mutual_coherence(psi), abs=1e-12
+                )
                 assert report.mutual_coherence == mutual_coherence(op)
 
     def test_cdf_holds_every_off_diagonal_omega_pair(self):

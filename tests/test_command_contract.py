@@ -1,0 +1,161 @@
+"""Bounded fuzz of whole commands through ``cli.main``: every run ends in 0, 2 or 3.
+
+Each example runs one desk-profile command in-process with small overrides
+(at most 5 iterations and 2 trials) on a design file that may be corrupted
+and an ``--out`` path that may be unusable. An exception escaping ``main``
+would reach the user as a traceback with exit code 1. The examples are
+derandomized and bounded, so the suite stays deterministic. The design
+whose pilot factor has a zero column is also checked on its own.
+"""
+
+import json
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from pilotopt import PilotDesign, load_experiment_config, make_baseline_design, save_design
+from pilotopt.cli import main
+
+_SETTINGS = settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+_COMMANDS = ["design", "baseline", "estimate", "report", "gradcheck", "sweep-lambda"]
+_FIELD_VALUES = st.sampled_from(
+    [None, True, False, 0, -1, 1, 3, 16, 16.9, 4.7, 2**63, 1e300, float("nan"), "16", [], [0],
+     [0, 3], [[1.0]], {}]
+)
+_ENTRY_VALUES = st.sampled_from([0.0, 1.0, -3.5, 1e-300, 1e-160, 1e150, 1e300, 2**70, True])
+# A directory command writes into --out; baseline writes the file --out names.
+# argv cannot carry a NUL byte, so no path holds one.
+_OUT_PATHS = {
+    "fresh": ("out", "out/design_b.json"),
+    "nested": ("a/b/c", "a/b/c/design_b.json"),
+    "empty": ("", ""),
+    "existing_dir": ("existing_dir", "existing_dir"),
+    "existing_file": ("afile", "afile"),
+    "under_file": ("afile/sub", "afile/design_b.json"),
+    "long_name": ("x" * 300, "x" * 300 + ".json"),
+}
+
+
+def _zero_column_design(cfg):
+    """Allocation (0, 3); every pilot column is +1, -1 on adjacent antennas.
+
+    Broadside steering sees equal antenna weights, so that Omega column is zero.
+    """
+    s = cfg.system
+    blocks = np.zeros((s.num_subcarriers, s.num_tx, s.seq_len), dtype=complex)
+    m = np.arange(s.seq_len)
+    for k in (0, 3):
+        blocks[k, m % 7, m] = 1.0
+        blocks[k, m % 7 + 1, m] = -1.0
+    blocks *= np.sqrt(s.total_power / np.sum(np.abs(blocks) ** 2))
+    return PilotDesign(blocks=blocks, allocation=(0, 3), total_power=s.total_power)
+
+
+def test_zero_column_design_report_and_estimate(tmp_path):
+    design = tmp_path / "design_zero_column.json"
+    save_design(_zero_column_design(load_experiment_config("desk")), design)
+    cfg_file = tmp_path / "tiny.cfg"
+    cfg_file.write_text("iterations = 5\nnum_trials = 2\n")
+    base = ["--config", str(cfg_file)]
+    # coherence_report refuses the zero column; OMP skips it.
+    assert main(["report", *base, "--design", str(design), "--out", str(tmp_path / "r")]) == 3
+    assert main(["estimate", *base, "--designs", str(design), "--out", str(tmp_path / "e")]) == 0
+
+
+def _corrupted_design_text(data, payload):
+    """Apply up to two drawn edits to a design payload, maybe restoring its power."""
+    x_re, x_im = np.array(payload["x_real"]), np.array(payload["x_imag"])
+    k, m = payload["K"], payload["M"]
+    text_edit = None
+    for _ in range(data.draw(st.integers(0, 2))):
+        edit = data.draw(st.sampled_from(["field", "entry", "zero_mean", "drop", "text"]))
+        if edit == "field":
+            payload[data.draw(st.sampled_from(sorted(payload)))] = data.draw(_FIELD_VALUES)
+        elif edit == "entry":
+            row = data.draw(st.integers(0, x_re.shape[0] - 1))
+            col = data.draw(st.integers(0, x_re.shape[1] - 1))
+            x_re = x_re.astype(object)
+            x_re[row, col] = data.draw(_ENTRY_VALUES)
+        elif edit == "text":
+            text_edit = (data.draw(st.floats(0.0, 1.0)),
+                         data.draw(st.sampled_from(["", "]", "{", "0", ",", "\x00"])))
+        elif edit == "zero_mean":
+            # Zero-mean pilot columns null the broadside Omega columns.
+            for part in (x_re, x_im):
+                part[:] = part - np.mean(part.astype(float), axis=0)
+        elif isinstance(payload["allocation"], list) and payload["allocation"]:
+            allocation = payload["allocation"]
+            dropped = allocation.pop(data.draw(st.integers(0, 1)) % len(allocation))
+            if isinstance(dropped, int) and 0 <= dropped < k:
+                x_re[:, dropped * m:(dropped + 1) * m] = 0.0
+                x_im[:, dropped * m:(dropped + 1) * m] = 0.0
+    if data.draw(st.booleans()):
+        with np.errstate(all="ignore"):
+            power = float(np.sum(x_re.astype(float) ** 2) + np.sum(x_im**2))
+            if np.isfinite(power) and power > 0 and isinstance(payload["Pt"], float):
+                scale = np.sqrt(payload["Pt"] / power)
+                x_re, x_im = x_re.astype(float) * scale, x_im * scale
+    payload["x_real"], payload["x_imag"] = x_re.tolist(), x_im.tolist()
+    text = json.dumps(payload)
+    if text_edit is not None:
+        pos = int(text_edit[0] * len(text))
+        text = text[:pos] + text_edit[1] + text[pos + 1:]
+    return text
+
+
+@_SETTINGS
+@given(data=st.data())
+def test_command_exits_with_a_documented_code(tmp_path, monkeypatch, data):
+    work = tmp_path / f"run_{len(list(tmp_path.iterdir()))}"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    (work / "existing_dir").mkdir()
+    (work / "afile").write_text("")
+    cfg = load_experiment_config("desk")
+    save_design(make_baseline_design(cfg, 4, 0), work / "design_valid.json")
+    source = (_zero_column_design(cfg) if data.draw(st.booleans())
+              else make_baseline_design(cfg, data.draw(st.integers(1, 16)), 1))
+    save_design(source, work / "design_fuzz.json")
+    payload = json.loads((work / "design_fuzz.json").read_text())
+    (work / "design_fuzz.json").write_text(_corrupted_design_text(data, payload))
+
+    (work / "tiny.cfg").write_text(
+        f"iterations = {data.draw(st.integers(0, 5))}\n"
+        f"num_trials = {data.draw(st.integers(1, 2))}\n"
+    )
+    command = data.draw(st.sampled_from(_COMMANDS))
+    argv = [command, "--profile", "desk", "--config", "tiny.cfg"]
+    seed = data.draw(st.sampled_from([None, 0, 3, -1, 2**64]))
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+    # Half the runs get a usable --out, so commands reach their later stages.
+    out_kind = data.draw(st.just("fresh") | st.sampled_from(sorted(_OUT_PATHS)))
+    out_dir, out_file = _OUT_PATHS[out_kind]
+    if command == "design":
+        argv += ["--out", out_dir, "--trace-every", str(data.draw(st.sampled_from([1, 3])))]
+    elif command == "baseline":
+        argv += ["--out", out_file]
+        if data.draw(st.booleans()):
+            argv += ["--match-design", "design_fuzz.json"]
+        else:
+            argv += ["--target-q", str(data.draw(st.sampled_from([0, 1, 4, 16, 17])))]
+    elif command == "estimate":
+        argv += ["--out", out_dir, "--threads", str(data.draw(st.integers(1, 2))), "--designs",
+                 *data.draw(st.sampled_from([["design_fuzz.json"],
+                                             ["design_fuzz.json", "design_valid.json"]]))]
+        if data.draw(st.booleans()):
+            argv.append("--allow-mixed")
+    elif command == "report":
+        argv += ["--out", out_dir, "--design", "design_fuzz.json"]
+    elif command == "sweep-lambda":
+        argv += ["--out", out_dir, "--lambdas", data.draw(st.sampled_from(["0", "1.5", "0.7,7"])),
+                 "--target-q", str(data.draw(st.sampled_from([0, 4, 99])))]
+    assert main(argv) in (0, 2, 3)

@@ -9,12 +9,11 @@ from pilotopt import (
     build_dictionaries,
     decode_grid_index,
     delay_response,
-    encode_grid_index,
     make_grids,
     steering_vector,
 )
 
-from oracles import virtual_channel
+from oracles import encode_grid_index, virtual_channel
 
 
 def small_config(**overrides):

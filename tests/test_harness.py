@@ -8,6 +8,7 @@ import pytest
 from pilotopt import (
     ChannelModelConfig,
     ConfigError,
+    PilotDesign,
     build_dictionaries,
     coherence_report,
     gaussian_init,
@@ -85,6 +86,13 @@ class TestConfigLoading:
         cfg = load_experiment_config("desk", None, seed_override=99)
         assert cfg.base_seed == 99
         assert cfg.optimizer.seed == 99
+
+    @pytest.mark.parametrize("override", ["base_seed = -1", "opt_seed = -2"])
+    def test_negative_seed_rejected(self, tmp_path, override):
+        path = tmp_path / "c.cfg"
+        path.write_text(override + "\n")
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            load_experiment_config("desk", path)
 
     def test_non_utf8_config_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -188,6 +196,24 @@ class TestDesignPersistence:
     def test_unrepresentable_fields_rejected(self, tmp_path, fields):
         with pytest.raises(ConfigError):
             load_design(self._corrupt(tmp_path, lambda payload: payload.update(fields)))
+
+    @pytest.mark.parametrize("change", [
+        lambda payload: payload.update(K=16.9),
+        lambda payload: payload.update(M=4.7),
+        lambda payload: payload["allocation"].__setitem__(0, True),  # subcarrier 1
+        lambda payload: payload["allocation"].__setitem__(1, 5.7),
+    ], ids=["K-float", "M-float", "allocation-true", "allocation-float"])
+    def test_non_integer_sizes_and_allocation_rejected(self, tmp_path, change):
+        # Each change used to load after truncation through int().
+        blocks = np.zeros((16, 8, 4), dtype=complex)
+        blocks[[1, 5]] = 1.0
+        path = tmp_path / "d.json"
+        save_design(PilotDesign(blocks=blocks, allocation=(1, 5), total_power=64.0), path)
+        payload = json.loads(path.read_text())
+        change(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match="expected an integer"):
+            load_design(path)
 
     def test_huge_pilot_entry_rejected(self, tmp_path):
         def change(payload):
@@ -345,7 +371,8 @@ class TestRunReportAndGradcheck:
         assert summary["generalized_p"] == report.generalized
 
     def test_gradcheck_passes(self, tiny_cfg):
-        results = run_gradcheck(tiny_cfg, num_pairs=4)
+        results = run_gradcheck(tiny_cfg)
+        assert len(results) == 10
         assert all(r["ok"] for r in results)
         assert all(r["rel_err"] <= 1e-4 for r in results)
 
@@ -633,6 +660,31 @@ class TestCli:
                    "--designs", str(design)])
         assert rc == 2
         assert not (tmp_path / "e" / "trials.csv").exists()
+
+    @pytest.mark.parametrize("command", ["design", "baseline", "estimate", "report"])
+    def test_out_through_existing_file_exit_code(self, tmp_path, command):
+        cfg_file = tmp_path / "tiny.cfg"
+        cfg_file.write_text(TINY_OVERRIDES)
+        design = tmp_path / "design_gauss.json"
+        save_design(make_baseline_design(load_experiment_config("desk"), 4, 0), design)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("keep")
+        # baseline's --out is a file, so its directory is the existing file
+        out = blocker / "design_b.json" if command == "baseline" else blocker
+        extra = {"design": [], "baseline": ["--target-q", "4"],
+                 "estimate": ["--designs", str(design)], "report": ["--design", str(design)]}
+        rc = main([command, "--config", str(cfg_file), "--out", str(out), *extra[command]])
+        assert rc == 2
+        assert blocker.read_text() == "keep"
+
+    def test_baseline_out_naming_directory_exit_code(self, tmp_path):
+        assert main(["baseline", "--target-q", "4", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("seed_args", [["--seed", "-1"], ["--config", "seed.cfg"]])
+    def test_negative_seed_exit_code(self, tmp_path, monkeypatch, seed_args):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "seed.cfg").write_text("base_seed = -1\n")
+        assert main(["gradcheck", *seed_args]) == 2
 
     def test_missing_design_exit_code(self, tmp_path):
         rc = main(["report", "--profile", "desk", "--design", str(tmp_path / "none.json"),

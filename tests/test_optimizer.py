@@ -11,12 +11,13 @@ from pilotopt import (
     block_penalty,
     build_dictionaries,
     extract_allocation,
-    f_omega,
     gaussian_init,
     loss,
     loss_gradient,
     optimize,
 )
+
+from oracles import f_omega
 
 
 def small_setup(seed=0):
@@ -43,6 +44,10 @@ class TestOptimizerConfig:
     def test_non_finite_float_rejected(self, field, value):
         with pytest.raises(ValueError, match="finite"):
             OptimizerConfig(**{field: value})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            OptimizerConfig(seed=-1)
 
 
 class TestBlockPenalty:
