@@ -28,13 +28,7 @@ from .coherence import (
     mutual_coherence,
     welch_bound,
 )
-from .dictionary import (
-    DictionarySet,
-    GridSpec,
-    build_dictionaries,
-    decode_grid_index,
-    make_grids,
-)
+from .dictionary import DictionarySet, GridSpec, build_dictionaries, make_grids
 from .errors import (
     ConfigError,
     DegenerateDesignError,

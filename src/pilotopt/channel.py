@@ -37,7 +37,6 @@ class SystemConfig:
     ``total_power`` the power budget shared by all pilot blocks.
     """
 
-    carrier_freq_hz: float
     bandwidth_hz: float
     num_subcarriers: int
     num_tx: int
@@ -51,8 +50,8 @@ class SystemConfig:
     def __post_init__(self) -> None:
         if not all(math.isfinite(getattr(self, f.name)) for f in fields(self) if f.type == "float"):
             raise ValueError("system float parameters must be finite")
-        if self.carrier_freq_hz <= 0 or self.bandwidth_hz <= 0:
-            raise ValueError("carrier frequency and bandwidth must be positive")
+        if self.bandwidth_hz <= 0:
+            raise ValueError("bandwidth must be positive")
         if self.num_subcarriers < 1:
             raise ValueError("num_subcarriers must be >= 1")
         if self.num_tx < 1 or self.num_rx < 1:
@@ -125,17 +124,17 @@ class ChannelVector:
         return self.per_subcarrier.transpose(0, 2, 1).reshape(-1)
 
 
-def steering_vector(angle: float, n: int, spacing: float) -> np.ndarray:
+def steering_vector(angles, n: int, spacing: float) -> np.ndarray:
     """ULA array response: element i is exp(j*2*pi*spacing*i*sin(angle)).
 
-    ``spacing`` is the antenna spacing in carrier wavelengths.
+    An array of ``angles`` gives one column per angle. ``spacing`` is the
+    antenna spacing in carrier wavelengths.
     """
     if n < 1:
         raise ValueError("antenna count must be >= 1")
-    if not math.isfinite(angle):
+    if not np.all(np.isfinite(angles)):
         raise ValueError("angle must be finite")
-    phase = 2.0 * np.pi * spacing * np.arange(n) * np.sin(angle)
-    return np.exp(1j * phase)
+    return np.exp(1j * np.multiply.outer(2.0 * np.pi * spacing * np.arange(n), np.sin(angles)))
 
 
 def subcarrier_offsets(config: SystemConfig) -> np.ndarray:
@@ -144,11 +143,15 @@ def subcarrier_offsets(config: SystemConfig) -> np.ndarray:
     return -config.bandwidth_hz / 2.0 + k * config.bandwidth_hz / config.num_subcarriers
 
 
-def delay_response(delay: float, config: SystemConfig) -> np.ndarray:
-    """Per-subcarrier phase ramp exp(-j*2*pi*offset_k*delay), length K."""
-    if delay < 0:
+def delay_response(delays, config: SystemConfig) -> np.ndarray:
+    """Per-subcarrier phase ramp exp(-j*2*pi*offset_k*delay), length K.
+
+    An array of delays gives one column per delay.
+    """
+    delays = np.asarray(delays, dtype=float)
+    if np.any(delays < 0):
         raise ValueError("delay must be non-negative")
-    return np.exp(-2j * np.pi * subcarrier_offsets(config) * delay)
+    return np.exp(np.multiply.outer(-2j * np.pi * subcarrier_offsets(config), delays))
 
 
 def sample_channel(
@@ -185,19 +188,18 @@ def assemble_channel(realization: ChannelRealization, config: SystemConfig) -> C
     """Sum the paths into per-subcarrier matrices ``A_r diag(w_k) A_t^H``.
 
     ``w_k`` holds each path's gain times its delay phase on subcarrier ``k``.
+    """
+    a_r = steering_vector(realization.aoas, config.num_rx, config.rx_spacing_wavelengths)
+    a_t = steering_vector(realization.aods, config.num_tx, config.tx_spacing_wavelengths)
+    return sum_atoms(a_r, a_t, delay_response(realization.delays, config) * realization.gains)
+
+
+def sum_atoms(a_r: np.ndarray, a_t: np.ndarray, weights: np.ndarray) -> ChannelVector:
+    """``A_r diag(w_k) A_t^H`` for each row ``w_k`` of the (K, L) ``weights``.
+
     One batched product writes every subcarrier, through a transposed view,
     into the buffer that is already in stacked-vector order.
     """
-    a_r = np.stack(
-        [steering_vector(t, config.num_rx, config.rx_spacing_wavelengths) for t in realization.aoas],
-        axis=1,
-    )
-    a_t = np.stack(
-        [steering_vector(p, config.num_tx, config.tx_spacing_wavelengths) for p in realization.aods],
-        axis=1,
-    )
-    b = np.stack([delay_response(d, config) for d in realization.delays], axis=1)
-    weights = b * realization.gains  # (K, L)
-    buffer = np.empty((config.num_subcarriers, config.num_tx, config.num_rx), dtype=complex)
+    buffer = np.empty((weights.shape[0], a_t.shape[0], a_r.shape[0]), dtype=complex)
     np.matmul(a_r * weights[:, None, :], a_t.conj().T, out=buffer.transpose(0, 2, 1))
     return ChannelVector(per_subcarrier=buffer.transpose(0, 2, 1))

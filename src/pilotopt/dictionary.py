@@ -3,7 +3,8 @@
 The channel is expanded on a 3-D grid (delay, AoD, AoA). Flat grid-point
 indices follow ``g = g_tau * (G_phi * G_theta) + g_phi * G_theta + g_theta``
 (0-based), which is exactly the column order of the Kronecker product
-``B x conj(A_t) x A_r``.
+``B x conj(A_t) x A_r``; ``np.unravel_index(g, (G_tau, G_phi, G_theta))``
+inverts it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ __all__ = [
     "DictionarySet",
     "make_grids",
     "build_dictionaries",
-    "decode_grid_index",
 ]
 
 
@@ -81,37 +81,16 @@ def make_grids(
     Delays are linear on [0, max_delay_s]. Note the angle grids never reach
     +pi/2; the sine argument tops out at ``1 - 2/G``.
     """
-    g = np.arange(spec.g_theta)
-    theta = np.arcsin(-1.0 + 2.0 * g / spec.g_theta)
-    g = np.arange(spec.g_phi)
-    phi = np.arcsin(-1.0 + 2.0 * g / spec.g_phi)
-    g = np.arange(spec.g_tau)
-    tau = config.max_delay_s * g / (spec.g_tau - 1)
+    theta = np.arcsin(-1.0 + 2.0 * np.arange(spec.g_theta) / spec.g_theta)
+    phi = np.arcsin(-1.0 + 2.0 * np.arange(spec.g_phi) / spec.g_phi)
+    tau = config.max_delay_s * np.arange(spec.g_tau) / (spec.g_tau - 1)
     return theta, phi, tau
 
 
 def build_dictionaries(spec: GridSpec, config: SystemConfig) -> DictionarySet:
     """Evaluate the steering/delay responses on every grid point."""
     theta, phi, tau = make_grids(spec, config)
-    a_r = np.stack(
-        [steering_vector(t, config.num_rx, config.rx_spacing_wavelengths) for t in theta],
-        axis=1,
-    )
-    a_t = np.stack(
-        [steering_vector(p, config.num_tx, config.tx_spacing_wavelengths) for p in phi],
-        axis=1,
-    )
-    b = np.stack([delay_response(d, config) for d in tau], axis=1)
+    a_r = steering_vector(theta, config.num_rx, config.rx_spacing_wavelengths)
+    a_t = steering_vector(phi, config.num_tx, config.tx_spacing_wavelengths)
+    b = delay_response(tau, config)
     return DictionarySet(theta_grid=theta, phi_grid=phi, tau_grid=tau, a_r=a_r, a_t=a_t, b=b)
-
-
-def decode_grid_index(g: int, spec: GridSpec) -> tuple[int, int, int]:
-    """Split a dictionary column index into (g_tau, g_phi, g_theta).
-
-    Inverts ``g = (g_tau * G_phi + g_phi) * G_theta + g_theta``.
-    """
-    if not 0 <= g < spec.total:
-        raise ValueError("grid index out of range")
-    g_theta = g % spec.g_theta
-    rest = g // spec.g_theta
-    return rest // spec.g_phi, rest % spec.g_phi, g_theta

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelVector
+from .channel import ChannelVector, sum_atoms
 from .coherence import PilotDesign, SensingOperator
-from .dictionary import DictionarySet, decode_grid_index
+from .dictionary import DictionarySet
 from .errors import DegenerateInputError
 
 __all__ = [
@@ -138,26 +138,18 @@ def omp_solve(
 
 
 def reconstruct_channel(estimate: SparseEstimate, dicts: DictionarySet) -> ChannelVector:
-    """Rebuild the stacked channel from recovered atoms and gains.
+    """Rebuild the channel from recovered atoms and gains.
 
-    Each support index decodes to a (delay, AoD, AoA) grid triple whose
-    Kronecker column, weighted by the estimated gain, contributes to the
-    channel vector over all subcarriers.
+    Support index ``g`` names the grid point ``(g_tau, g_phi, g_theta) =
+    np.unravel_index(g, (G_tau, G_phi, G_theta))``, which refuses indices
+    outside the grid; its atom is weighted by the estimated gain.
     """
     spec = dicts.spec
-    n_r, n_t, k = dicts.num_rx, dicts.num_tx, dicts.num_subcarriers
-    stacked = np.zeros(n_r * n_t * k, dtype=complex)
-    for coeff, g in zip(estimate.coefficients, estimate.support):
-        g_tau, g_phi, g_theta = decode_grid_index(int(g), spec)
-        col = np.einsum(
-            "k,t,r->ktr",
-            dicts.b[:, g_tau],
-            dicts.a_t[:, g_phi].conj(),
-            dicts.a_r[:, g_theta],
-        ).ravel()
-        stacked += coeff * col
-    # block k is vec^{-1} (column-major) of its Nr*Nt slice
-    return ChannelVector(per_subcarrier=stacked.reshape(k, n_t, n_r).transpose(0, 2, 1))
+    g_tau, g_phi, g_theta = np.unravel_index(
+        np.asarray(estimate.support, dtype=np.intp), (spec.g_tau, spec.g_phi, spec.g_theta)
+    )
+    weights = dicts.b[:, g_tau] * estimate.coefficients
+    return sum_atoms(dicts.a_r[:, g_theta], dicts.a_t[:, g_phi], weights)
 
 
 def nmse(h_true: np.ndarray, h_est: np.ndarray) -> float:

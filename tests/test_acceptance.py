@@ -24,7 +24,6 @@ from pilotopt import (
     build_omega,
     build_sensing_matrix,
     coherence_report,
-    decode_grid_index,
     gaussian_init,
     load_experiment_config,
     loss,
@@ -234,7 +233,6 @@ def test_criterion_06_long_run_full_scale():
 
 def _orthogonal_instance():
     cfg = SystemConfig(
-        carrier_freq_hz=3.5e9,
         bandwidth_hz=1.92e6,
         num_subcarriers=16,
         num_tx=8,
@@ -266,11 +264,11 @@ def test_criterion_07_omp_exactness():
         for _ in range(3):
             atoms = sorted(int(v) for v in rng.choice(spec.total, sparsity, replace=False))
             gains = rng.standard_normal(sparsity) + 1j * rng.standard_normal(sparsity)
-            grid = [decode_grid_index(g, spec) for g in atoms]
+            g_tau, g_phi, g_theta = np.unravel_index(atoms, (spec.g_tau, spec.g_phi, spec.g_theta))
             realization = ChannelRealization(
-                aoas=np.array([dicts.theta_grid[g[2]] for g in grid]),
-                aods=np.array([dicts.phi_grid[g[1]] for g in grid]),
-                delays=np.array([dicts.tau_grid[g[0]] for g in grid]),
+                aoas=dicts.theta_grid[g_theta],
+                aods=dicts.phi_grid[g_phi],
+                delays=dicts.tau_grid[g_tau],
                 gains=gains,
             )
             h = assemble_channel(realization, cfg)

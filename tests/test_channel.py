@@ -18,7 +18,6 @@ from oracles import khatri_rao_channel
 
 def small_config(**overrides):
     base = dict(
-        carrier_freq_hz=3.5e9,
         bandwidth_hz=1.92e6,
         num_subcarriers=8,
         num_tx=4,
@@ -58,6 +57,8 @@ class TestSteeringVector:
     def test_rejects_non_finite_angle(self):
         with pytest.raises(ValueError):
             steering_vector(np.nan, 3, 0.5)
+        with pytest.raises(ValueError):
+            steering_vector(np.array([0.1, np.inf]), 3, 0.5)
 
 
 class TestDelayResponse:
@@ -93,6 +94,8 @@ class TestDelayResponse:
     def test_rejects_negative_delay(self):
         with pytest.raises(ValueError):
             delay_response(-1e-9, small_config())
+        with pytest.raises(ValueError):
+            delay_response(np.array([0.0, -1e-9]), small_config())
 
 
 class TestSampleChannel:
@@ -235,7 +238,6 @@ class TestSystemConfig:
     @pytest.mark.parametrize(
         "field",
         [
-            "carrier_freq_hz",
             "bandwidth_hz",
             "total_power",
             "tx_spacing_wavelengths",

@@ -44,7 +44,6 @@ T_P_FULL_GRID = 17.22660128568205
 
 def small_setup(seed=0):
     cfg = SystemConfig(
-        carrier_freq_hz=3.5e9,
         bandwidth_hz=1.92e6,
         num_subcarriers=8,
         num_tx=4,
@@ -267,7 +266,6 @@ class TestTPDictionary:
     def test_orthogonal_columns_keep_diagonal_only(self):
         # DFT-like grid with G = Nr has orthogonal steering columns
         cfg = SystemConfig(
-            carrier_freq_hz=3.5e9,
             bandwidth_hz=1.92e6,
             num_subcarriers=8,
             num_tx=4,
@@ -451,7 +449,6 @@ class TestCoherenceReport:
     def test_orthogonal_design_has_zero_inner_products(self):
         # identity-like pilot blocks on orthogonal grids make Omega orthogonal
         cfg = SystemConfig(
-            carrier_freq_hz=3.5e9,
             bandwidth_hz=1.92e6,
             num_subcarriers=8,
             num_tx=4,

@@ -7,8 +7,8 @@ from pilotopt import (
     SystemConfig,
     assemble_channel,
     build_dictionaries,
-    decode_grid_index,
     delay_response,
+    load_experiment_config,
     make_grids,
     steering_vector,
 )
@@ -18,7 +18,6 @@ from oracles import encode_grid_index, virtual_channel
 
 def small_config(**overrides):
     base = dict(
-        carrier_freq_hz=3.5e9,
         bandwidth_hz=1.92e6,
         num_subcarriers=8,
         num_tx=4,
@@ -76,6 +75,21 @@ class TestBuildDictionaries:
         for g in range(spec.g_tau):
             np.testing.assert_array_equal(d.b[:, g], delay_response(d.tau_grid[g], cfg))
 
+    @pytest.mark.parametrize("profile", ["desk", "paper"])
+    def test_array_calls_match_stacked_scalar_calls(self, profile):
+        cfg = load_experiment_config(profile)
+        s = cfg.system
+        theta, phi, tau = make_grids(cfg.grids, s)
+        for angles, n, spacing in ((theta, s.num_rx, s.rx_spacing_wavelengths),
+                                   (phi, s.num_tx, s.tx_spacing_wavelengths)):
+            np.testing.assert_array_equal(
+                steering_vector(angles, n, spacing),
+                np.stack([steering_vector(a, n, spacing) for a in angles], axis=1),
+            )
+        np.testing.assert_array_equal(
+            delay_response(tau, s), np.stack([delay_response(t, s) for t in tau], axis=1)
+        )
+
     def test_broadside_and_zero_delay_columns_are_ones(self):
         cfg = small_config()
         d = build_dictionaries(GridSpec(g_theta=4, g_phi=4, g_tau=4), cfg)
@@ -90,14 +104,17 @@ class TestBuildDictionaries:
 
 
 class TestGridIndex:
+    """The oracle encoder and ``np.unravel_index``, which the package decodes with."""
+
     def test_round_trip_all_tuples(self):
         spec = GridSpec(g_theta=3, g_phi=4, g_tau=5)
+        shape = (spec.g_tau, spec.g_phi, spec.g_theta)
         seen = set()
         for gt in range(5):
             for gp in range(4):
                 for gth in range(3):
                     g = encode_grid_index(gt, gp, gth, spec)
-                    assert decode_grid_index(g, spec) == (gt, gp, gth)
+                    assert np.unravel_index(g, shape) == (gt, gp, gth)
                     seen.add(g)
         assert seen == set(range(spec.total))
 
@@ -105,8 +122,9 @@ class TestGridIndex:
         spec = GridSpec(g_theta=3, g_phi=4, g_tau=5)
         with pytest.raises(ValueError):
             encode_grid_index(5, 0, 0, spec)
-        with pytest.raises(ValueError):
-            decode_grid_index(spec.total, spec)
+        for g in (spec.total, -1):
+            with pytest.raises(ValueError):
+                np.unravel_index(g, (spec.g_tau, spec.g_phi, spec.g_theta))
 
 
 class TestVirtualChannel:

@@ -13,7 +13,6 @@ from pilotopt import (
     assemble_channel,
     build_dictionaries,
     build_sensing_matrix,
-    decode_grid_index,
     mutual_coherence,
     nmse,
     omp_solve,
@@ -27,7 +26,6 @@ from oracles import virtual_channel
 
 def small_config(**overrides):
     base = dict(
-        carrier_freq_hz=3.5e9,
         bandwidth_hz=1.92e6,
         num_subcarriers=8,
         num_tx=4,
@@ -62,14 +60,9 @@ def orthogonal_setup():
 
 
 def on_grid_channel(dicts, spec, grid_indices, gains, cfg):
-    aoas, aods, delays = [], [], []
-    for g in grid_indices:
-        g_tau, g_phi, g_theta = decode_grid_index(int(g), spec)
-        aoas.append(dicts.theta_grid[g_theta])
-        aods.append(dicts.phi_grid[g_phi])
-        delays.append(dicts.tau_grid[g_tau])
+    g_tau, g_phi, g_theta = np.unravel_index(grid_indices, (spec.g_tau, spec.g_phi, spec.g_theta))
     realization = ChannelRealization(
-        aoas=np.array(aoas), aods=np.array(aods), delays=np.array(delays),
+        aoas=dicts.theta_grid[g_theta], aods=dicts.phi_grid[g_phi], delays=dicts.tau_grid[g_tau],
         gains=np.asarray(gains, dtype=complex),
     )
     return assemble_channel(realization, cfg)
@@ -209,7 +202,7 @@ class TestReconstructChannel:
         from pilotopt import SparseEstimate
 
         g = 22
-        g_tau, g_phi, g_theta = decode_grid_index(g, spec)
+        g_tau, g_phi, g_theta = np.unravel_index(g, (spec.g_tau, spec.g_phi, spec.g_theta))
         est = SparseEstimate(support=(g,), coefficients=np.array([1.0 + 0j]),
                              residual_norm=0.0)
         h = reconstruct_channel(est, dicts)
@@ -255,10 +248,11 @@ class TestReconstructChannel:
         _, spec, dicts, _ = orthogonal_setup()
         from pilotopt import SparseEstimate
 
-        est = SparseEstimate(support=(spec.total,), coefficients=np.array([1.0 + 0j]),
-                             residual_norm=0.0)
-        with pytest.raises(ValueError):
-            reconstruct_channel(est, dicts)
+        for g in (spec.total, -1):
+            est = SparseEstimate(support=(g,), coefficients=np.array([1.0 + 0j]),
+                                 residual_norm=0.0)
+            with pytest.raises(ValueError):
+                reconstruct_channel(est, dicts)
 
 
 class TestScalarHelpers:

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -62,9 +63,10 @@ class TestConfigLoading:
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
-        path.write_text("not_a_real_key = 1\n")
-        with pytest.raises(ConfigError, match="not_a_real_key"):
-            load_experiment_config("desk", path)
+        for key in ("not_a_real_key", "carrier_freq_hz"):  # no code reads a carrier frequency
+            path.write_text(f"{key} = 1\n")
+            with pytest.raises(ConfigError, match=key):
+                load_experiment_config("desk", path)
 
     def test_bad_value_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -221,6 +223,17 @@ class TestDesignPersistence:
 
         with pytest.raises(ConfigError):
             load_design(self._corrupt(tmp_path, change))
+
+    def test_overflowing_power_rejected_without_warning(self, tmp_path):
+        def change(payload):
+            column = payload["allocation"][0] * payload["M"]  # an allocated subcarrier's entry
+            payload["x_real"][0][column] = 1e300
+
+        path = self._corrupt(tmp_path, change)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="stored power"):
+                load_design(path)
 
     def test_non_utf8_design_rejected(self, tmp_path):
         path = tmp_path / "d.json"
@@ -676,6 +689,23 @@ class TestCli:
         rc = main([command, "--config", str(cfg_file), "--out", str(out), *extra[command]])
         assert rc == 2
         assert blocker.read_text() == "keep"
+
+    def test_estimate_out_through_existing_file_fails_before_any_trial(self, tmp_path,
+                                                                      monkeypatch):
+        calls = []
+        synthesize = harness.synthesize_measurement
+        monkeypatch.setattr(harness, "synthesize_measurement",
+                            lambda *args: calls.append(1) or synthesize(*args))
+        cfg_file = tmp_path / "tiny.cfg"
+        cfg_file.write_text(TINY_OVERRIDES)
+        design = tmp_path / "design_gauss.json"
+        save_design(make_baseline_design(load_experiment_config("desk"), 4, 0), design)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("keep")
+        rc = main(["estimate", "--config", str(cfg_file), "--out", str(blocker / "e"),
+                   "--designs", str(design)])
+        assert rc == 2
+        assert calls == []
 
     def test_baseline_out_naming_directory_exit_code(self, tmp_path):
         assert main(["baseline", "--target-q", "4", "--out", str(tmp_path)]) == 2

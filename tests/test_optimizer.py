@@ -22,7 +22,6 @@ from oracles import f_omega
 
 def small_setup(seed=0):
     cfg = SystemConfig(
-        carrier_freq_hz=3.5e9,
         bandwidth_hz=1.92e6,
         num_subcarriers=8,
         num_tx=4,
