@@ -149,6 +149,8 @@ def delay_response(delays, config: SystemConfig) -> np.ndarray:
     An array of delays gives one column per delay.
     """
     delays = np.asarray(delays, dtype=float)
+    if not np.all(np.isfinite(delays)):
+        raise ValueError("delay must be finite")
     if np.any(delays < 0):
         raise ValueError("delay must be non-negative")
     return np.exp(np.multiply.outer(-2j * np.pi * subcarrier_offsets(config), delays))

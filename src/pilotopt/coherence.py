@@ -11,10 +11,10 @@ Column inner products of ``Omega`` obey
     c(gt, gt', gf, gf') = sum_k conj(b_k[gt]) * b_k[gt'] * <r_k(gf), r_k(gf')>
 
 with ``r_k(gf) = X_k^T conj(a_t(gf))``. The delay grid is uniform, so the
-weight ``conj(b_k[gt]) * b_k[gt']`` depends on ``d = gt - gt'`` alone. Of
-the (G_tau^2, G_phi^2) tensor of these products the gradient engine builds
-one row per delay difference ``d = 0..G_tau-1``, counts it ``G_tau - |d|``
-times and takes ``d < 0`` as the Hermitian transpose of ``-d``.
+weight ``conj(b_k[gt]) * b_k[gt']`` depends on ``d = gt - gt'`` alone. The
+gradient and the coherence report read only the rows ``d = 0..G_tau-1`` of
+the (G_tau^2, G_phi^2) tensor of these products: row ``d`` recurs
+``G_tau - |d|`` times and ``d < 0`` is the Hermitian transpose of ``-d``.
 """
 
 from __future__ import annotations
@@ -40,11 +40,10 @@ __all__ = [
     "coherence_report",
 ]
 
-# Entries per block of a factor-Gram scan or of the CDF pair sampling
-# (~64 MiB at complex128).
+# Largest Omega Gram, in entries, whose off-diagonal pairs all enter the
+# report's CDF (the 2048-column paper factor just fits).
 DENSE_ENTRY_CAP = 1 << 22
-# Pair count of the seeded CDF subsample for Omega factors too wide for one
-# Gram block.
+# Pair count of the seeded CDF subsample for wider Omega factors.
 PAIR_SUBSAMPLE_SIZE = 1_000_000
 _PAIR_SAMPLE_SEED = 0x5EED
 
@@ -156,11 +155,18 @@ class SensingOperator:
         return self._col_norms
 
 
-def build_sensing_matrix(design: PilotDesign, dicts: DictionarySet) -> SensingOperator:
-    """Assemble the structured sensing operator on the allocated subcarriers."""
+def _allocation_mask(design: PilotDesign, dicts: DictionarySet) -> np.ndarray:
+    """Boolean mask of the allocated subcarriers, after the shared input checks."""
     if not design.allocation:
         raise ValueError("design has an empty allocation")
-    sel = np.asarray(design.allocation)
+    if design.blocks.shape[:2] != (dicts.num_subcarriers, dicts.num_tx):
+        raise ValueError("design dimensions do not match the dictionaries")
+    return np.isin(np.arange(dicts.num_subcarriers), design.allocation)
+
+
+def build_sensing_matrix(design: PilotDesign, dicts: DictionarySet) -> SensingOperator:
+    """Assemble the structured sensing operator on the allocated subcarriers."""
+    sel = _allocation_mask(design, dicts)
     omega = build_omega(design.blocks[sel], replace(dicts, b=dicts.b[sel]))
     return SensingOperator(omega=omega, a_r=dicts.a_r)
 
@@ -225,68 +231,41 @@ class CoherenceEngine:
         return float(v_p ** (1.0 / p)), v_p, vgrad
 
 
-def _column_norms_checked(matrix: np.ndarray, what: str) -> np.ndarray:
-    norms = np.linalg.norm(matrix, axis=0)
-    zero = np.flatnonzero(norms == 0)
-    if zero.size:
-        raise DegenerateInputError(f"column {int(zero[0])} of {what} has zero norm")
-    return norms
+def _normalized_rows(design: PilotDesign, dicts: DictionarySet) -> tuple[np.ndarray, ...]:
+    """Normalized Gram rows of both factors of ``Psi`` on the allocated subcarriers.
 
-
-def _gram_scan(
-    matrix: np.ndarray, norms: np.ndarray, p: int | None, pairs: bool = False
-) -> tuple[float, float, np.ndarray | None]:
-    """One blockwise pass over the normalized Gram.
-
-    Returns ``(max off-diagonal value, sum of p-th powers over all pairs
-    including the diagonal, upper-triangle values)``. The power sum is 0.0
-    when ``p`` is None; the upper-triangle values (``i < j``, row-major) are
-    collected only when ``pairs`` is set, and are None otherwise. Each block
-    holds at most DENSE_ENTRY_CAP entries.
+    Returns ``(rows, n, ar_gram, mult)``: ``rows[d] = |c_d| / (n n^T)``, shape
+    (G_tau, G_phi, G_phi); the Omega column norms ``n = sqrt(diag c_0)``, one
+    per g_phi since ``|b_k| = 1``; the normalized A_r Gram; the engine's pair
+    multiplicities. Omega Gram entry ``((a, f), (b, f'))`` has magnitude
+    ``rows[a - b, f, f']`` for ``a >= b`` and ``rows[b - a, f', f]`` otherwise.
     """
-    n = matrix.shape[1]
-    chunk = max(1, min(n, DENSE_ENTRY_CAP // max(n, 1)))
-    ah = matrix.conj().T
-    mu = 0.0
-    total = 0.0
-    upper = []
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        block = np.abs(ah[start:stop] @ matrix)
-        block /= np.outer(norms[start:stop], norms)
-        if p is not None:
-            total += float(np.sum(block**p))
-        if pairs:
-            upper.append(block[np.triu(np.ones(block.shape, dtype=bool), k=start + 1)])
-        block[np.arange(start, stop) - start, np.arange(start, stop)] = 0.0
-        mu = max(mu, float(block.max()))
-    return mu, total, (np.concatenate(upper) if pairs else None)
+    blocks = np.where(_allocation_mask(design, dicts)[:, None, None], design.blocks, 0)
+    # On all K subcarriers the uniform-grid check keeps the full grid's tolerance.
+    engine = CoherenceEngine(dicts)
+    c = engine.gram_tensor(blocks).reshape(engine.g_tau, engine.g_phi, engine.g_phi)
+    norms = np.sqrt(c[0].diagonal().real)
+    ar_norms = np.linalg.norm(dicts.a_r, axis=0)
+    for n, what in ((norms, "the pilot factor"), (ar_norms, "the AoA dictionary")):
+        zero = np.flatnonzero(n == 0)
+        if zero.size:
+            raise DegenerateInputError(f"column {int(zero[0])} of {what} has zero norm")
+    ar_gram = np.abs(dicts.a_r.conj().T @ dicts.a_r) / np.outer(ar_norms, ar_norms)
+    return np.abs(c) / np.outer(norms, norms), norms, ar_gram, engine._mult
 
 
-def _kron_scan(
-    op: SensingOperator, p: int | None, pairs: bool = False
-) -> tuple[float, float, np.ndarray, np.ndarray | None]:
-    """Scan each factor Gram of ``Psi = Omega kron A_r`` once.
-
-    The normalized Gram of ``Psi`` is the Kronecker product of the factor
-    Grams, so its largest off-diagonal entry is the larger of the two factor
-    maxima and its all-pairs power sum is the product of the factor sums.
-    Returns ``(mu, all-pairs power sum, Omega column norms, Omega
-    upper-triangle values)``.
-    """
-    omega_norms = _column_norms_checked(op.omega, "the pilot factor")
-    mu_omega, sum_omega, upper = _gram_scan(op.omega, omega_norms, p, pairs)
-    ar_norms = _column_norms_checked(op.a_r, "the AoA dictionary")
-    mu_ar, sum_ar, _ = _gram_scan(op.a_r, ar_norms, p)
-    return min(max(mu_omega, mu_ar), 1.0), sum_omega * sum_ar, omega_norms, upper
+def _kron_mu(rows: np.ndarray, ar_gram: np.ndarray) -> float:
+    """Largest off-diagonal normalized Gram entry of ``Omega kron A_r``: the factors' larger."""
+    rows, ar_gram = rows.copy(), ar_gram.copy()
+    np.fill_diagonal(rows[0], 0.0)
+    np.fill_diagonal(ar_gram, 0.0)
+    return min(max(float(rows.max()), float(ar_gram.max())), 1.0)
 
 
-def mutual_coherence(op: SensingOperator) -> float:
-    """Largest normalized inner product between distinct columns of ``Psi``.
-
-    Scans only the two Kronecker factors.
-    """
-    return _kron_scan(op, None)[0]
+def mutual_coherence(design: PilotDesign, dicts: DictionarySet) -> float:
+    """Largest normalized inner product of distinct ``Psi`` columns, from the engine's rows."""
+    rows, _, ar_gram, _ = _normalized_rows(design, dicts)
+    return _kron_mu(rows, ar_gram)
 
 
 def welch_bound(n_obs: int, n_atoms: int) -> float:
@@ -324,41 +303,45 @@ class CoherenceReport:
         }
 
 
-def _sampled_pair_values(omega: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Seeded uniform subsample of normalized off-diagonal inner products."""
-    n_cols = omega.shape[1]
+def _sampled_pair_values(rows: np.ndarray) -> np.ndarray:
+    """Seeded uniform subsample of normalized off-diagonal Omega inner products."""
+    g_tau, g_phi, _ = rows.shape
+    n_cols = g_tau * g_phi
     rng = np.random.default_rng(_PAIR_SAMPLE_SEED)
     i = rng.integers(0, n_cols, PAIR_SUBSAMPLE_SIZE)
     j = rng.integers(0, n_cols - 1, PAIR_SUBSAMPLE_SIZE)
     j = np.where(j >= i, j + 1, j)  # uniform over ordered pairs i != j
-    out = np.empty(PAIR_SUBSAMPLE_SIZE)
-    chunk = max(1, DENSE_ENTRY_CAP // (4 * max(omega.shape[0], 1)))
-    for start in range(0, PAIR_SUBSAMPLE_SIZE, chunk):
-        stop = min(start + chunk, PAIR_SUBSAMPLE_SIZE)
-        ii = i[start:stop]
-        jj = j[start:stop]
-        vals = np.abs(np.einsum("nk,nk->k", omega[:, ii].conj(), omega[:, jj]))
-        out[start:stop] = vals / (norms[ii] * norms[jj])
-    return out
+    ti, fi = np.divmod(i, g_phi)
+    tj, fj = np.divmod(j, g_phi)
+    lower = ti >= tj
+    return rows[np.abs(ti - tj), np.where(lower, fi, fj), np.where(lower, fj, fi)]
 
 
 def coherence_report(design: PilotDesign, dicts: DictionarySet, p: int) -> CoherenceReport:
     """Evaluate a design: sensing-matrix metrics plus Omega CDF samples.
 
-    One scan per factor Gram yields ``mu``, ``nu_p`` and, when the Omega
-    Gram fits in one DENSE_ENTRY_CAP block, the CDF over all its
-    off-diagonal column pairs; larger factors get a seeded uniform
-    subsample of ``PAIR_SUBSAMPLE_SIZE`` pairs instead.
+    Everything comes from the normalized delay-difference rows: ``mu`` and
+    ``nu_p`` through the Kronecker split, and, when the Omega Gram has at most
+    DENSE_ENTRY_CAP entries, the CDF over all its off-diagonal column pairs
+    (row ``d`` recurs ``G_tau - d`` times); larger factors get a seeded
+    uniform subsample of ``PAIR_SUBSAMPLE_SIZE`` pairs instead.
     """
     _require_even_p(p)
-    op = build_sensing_matrix(design, dicts)
-    n_obs, n_atoms = op.shape
-    n_cols = op.omega.shape[1]
-    mu, power_sum, norms, inner = _kron_scan(op, p, pairs=n_cols * n_cols <= DENSE_ENTRY_CAP)
-    if inner is None:
-        inner = _sampled_pair_values(op.omega, norms)
+    rows, norms, ar_gram, mult = _normalized_rows(design, dicts)
+    g_tau, g_phi, _ = rows.shape
+    n_cols = g_tau * g_phi
+    n_obs = dicts.num_rx * design.seq_len * len(design.allocation)
+    n_atoms = n_cols * ar_gram.shape[0]
+    # Each factor's power sum covers all pairs, diagonal included.
+    power_sum = float(mult @ np.sum(rows**p, axis=(1, 2))) * float(np.sum(ar_gram**p))
+    if n_cols * n_cols <= DENSE_ENTRY_CAP:
+        upper = rows[0][np.triu_indices(g_phi, k=1)]
+        inner = np.repeat(rows[1:], g_tau - np.arange(1, g_tau), axis=0).ravel()
+        inner = np.concatenate([np.tile(upper, g_tau), inner])
+    else:
+        inner = _sampled_pair_values(rows)
     return CoherenceReport(
-        mutual_coherence=mu,
+        mutual_coherence=_kron_mu(rows, ar_gram),
         # The n_atoms diagonal entries of a normalized Gram are exactly 1.
         generalized=float(max(power_sum - n_atoms, 0.0) ** (1.0 / p)),
         p=p,
@@ -366,5 +349,5 @@ def coherence_report(design: PilotDesign, dicts: DictionarySet, p: int) -> Coher
         n_obs=n_obs,
         n_atoms=n_atoms,
         inner_product_cdf=np.sort(inner),
-        column_norm_cdf=np.sort(norms),
+        column_norm_cdf=np.sort(np.tile(norms, g_tau)),
     )

@@ -666,7 +666,7 @@ def run_sweep(
         )
         name = f"design_lambda_{i}.json"
         save_design(design, out / name)
-        mu = mutual_coherence(build_sensing_matrix(design, dicts))
+        mu = mutual_coherence(design, dicts)
         rows.append((lam, len(design.allocation), mu, name))
     table_path = out / "sweep.csv"
     _write_csv(

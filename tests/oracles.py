@@ -4,8 +4,9 @@ Each oracle evaluates a quantity straight from its defining formula: one
 Omega Gram entry from the subcarrier sum, the coherence objective and its
 gradient from the full (G_tau^2, G_phi^2) Omega Gram tensor, the dense
 ``Psi = Omega kron A_r`` (behind a memory cap) and its forward product,
-the full-sensing-matrix objective from a dense ``Psi``, mutual and
-generalized coherence from a dense normalized Gram, the AoA dictionary
+the full-sensing-matrix objective from a dense ``Psi``, the normalized
+Gram of a design's dense ``Omega``, mutual and generalized coherence from
+a dense normalized Gram, the AoA dictionary
 coherence from its dense Gram, the flat grid index of a (delay, AoD, AoA)
 tuple, the channel of a virtual-gain vector and of a path realization as
 sums of Kronecker (Khatri-Rao) columns. ``f_omega`` is the engine's
@@ -66,6 +67,11 @@ def _off_diagonal_normalized_gram(matrix):
     gram = np.abs(matrix.conj().T @ matrix) / np.outer(norms, norms)
     np.fill_diagonal(gram, 0.0)
     return gram
+
+
+def normalized_omega_gram(design, dicts):
+    """Normalized off-diagonal Gram of the dense pilot factor on the allocated subcarriers."""
+    return _off_diagonal_normalized_gram(build_sensing_matrix(design, dicts).omega)
 
 
 def dense_mutual_coherence(matrix):

@@ -256,7 +256,7 @@ def _orthogonal_instance():
 def test_criterion_07_omp_exactness():
     cfg, spec, dicts, design = _orthogonal_instance()
     op = build_sensing_matrix(design, dicts)
-    mu = mutual_coherence(op)
+    mu = mutual_coherence(design, dicts)
     rng = np.random.default_rng(707)
     worst_nmse = 0.0
     support_ok = True

@@ -97,6 +97,11 @@ class TestDelayResponse:
         with pytest.raises(ValueError):
             delay_response(np.array([0.0, -1e-9]), small_config())
 
+    def test_rejects_non_finite_delay(self):
+        for delay in (np.nan, np.inf, np.array([0.0, np.nan])):
+            with pytest.raises(ValueError, match="delay must be finite"):
+                delay_response(delay, small_config())
+
 
 class TestSampleChannel:
     def test_deterministic_for_fixed_seed(self):

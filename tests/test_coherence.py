@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,9 +8,9 @@ from pilotopt import coherence
 from pilotopt import (
     CoherenceEngine,
     DegenerateInputError,
+    DictionarySet,
     GridSpec,
     PilotDesign,
-    SensingOperator,
     SystemConfig,
     build_dictionaries,
     build_omega,
@@ -33,9 +34,11 @@ from oracles import (
     f_psi_reference,
     full_gram_tensor,
     full_gram_value_and_vgrad,
+    normalized_omega_gram,
     psi_matvec,
     t_p_dictionary,
 )
+from test_command_contract import _zero_column_design
 
 # AoA dictionary coherence on the full-scale grid (G_theta = 16, Nr = 8,
 # p = 4), frozen from a direct double-sum evaluation.
@@ -230,6 +233,20 @@ class TestCoherenceEngine:
         cfg = replace(small_setup()[0], num_subcarriers=4096, num_delay_taps=4096)
         CoherenceEngine(build_dictionaries(GridSpec(g_theta=2, g_phi=2, g_tau=4), cfg))
 
+    def test_wide_band_report_on_small_allocation(self):
+        # The report's Toeplitz check must keep the tolerance of all 4096
+        # subcarriers, whose delay phases stay as large on three of them.
+        cfg = replace(small_setup()[0], num_subcarriers=4096, num_delay_taps=4096)
+        dicts = build_dictionaries(GridSpec(g_theta=2, g_phi=2, g_tau=4), cfg)
+        alloc = (5, 700, 4000)
+        blocks = np.zeros((cfg.num_subcarriers, cfg.num_tx, cfg.seq_len), dtype=complex)
+        blocks[list(alloc)] = np.random.default_rng(3).standard_normal((3, cfg.num_tx, cfg.seq_len))
+        design = PilotDesign(blocks=blocks, allocation=alloc, total_power=1.0)
+        mu = max(normalized_omega_gram(design, dicts).max(), dense_mutual_coherence(dicts.a_r))
+        report = coherence_report(design, dicts, 4)
+        assert report.mutual_coherence == pytest.approx(mu, rel=1e-12)
+        assert mutual_coherence(design, dicts) == report.mutual_coherence
+
 
 class TestFPsiDecomposition:
     def test_zero_pilots(self):
@@ -290,15 +307,23 @@ class TestTPDictionary:
         assert t_p_dictionary(dicts.a_r, 4) >= nr * g_theta**0.25 - 1e-12
 
 
-def _single_aoa_operator(matrix):
-    """Sensing operator whose Psi is ``matrix``: Omega = matrix, A_r = [[1]]."""
-    return SensingOperator(omega=np.asarray(matrix, dtype=complex), a_r=np.ones((1, 1)))
+def _single_aoa_design(seed):
+    """A small random design and dictionaries with A_r = [[1]], so mu(Psi) is mu(Omega)."""
+    _, _, dicts, blocks = small_setup(seed)
+    design = PilotDesign(blocks=blocks, allocation=(0, 2, 5), total_power=1.0)
+    return design, replace(dicts, a_r=np.ones((1, 1)))
 
 
 class TestScalarCoherenceMetrics:
     def test_identity_has_zero_coherence(self):
-        # Psi = I_5 kron I_2 = I_10
-        assert mutual_coherence(SensingOperator(omega=np.eye(5), a_r=np.eye(2))) == 0.0
+        # Two subcarriers with orthogonal delay columns and identity pilots and
+        # steering: Omega has orthogonal columns, so Psi's normalized Gram is I_8.
+        dicts = DictionarySet(
+            theta_grid=np.zeros(2), phi_grid=np.zeros(2), tau_grid=np.arange(2.0),
+            a_r=np.eye(2), a_t=np.eye(2), b=np.array([[1.0, 1.0], [1.0, -1.0]]),
+        )
+        design = PilotDesign(blocks=np.stack([np.eye(2)] * 2), allocation=(0, 1), total_power=4.0)
+        assert mutual_coherence(design, dicts) == 0.0
         assert dense_mutual_coherence(np.eye(5)) == 0.0
         assert dense_generalized_coherence(np.eye(5), 4) == 0.0
 
@@ -307,25 +332,29 @@ class TestScalarCoherenceMetrics:
         assert dense_mutual_coherence(m) == pytest.approx(1 / np.sqrt(2), rel=1e-12)
 
     def test_scale_invariance(self):
-        rng = np.random.default_rng(8)
-        m = rng.standard_normal((6, 10)) + 1j * rng.standard_normal((6, 10))
-        base = mutual_coherence(_single_aoa_operator(m))
+        design, dicts = _single_aoa_design(8)
+
+        def scaled_mu(s):
+            return mutual_coherence(replace(design, blocks=s * design.blocks), dicts)
+
+        base = scaled_mu(1.0)
         assert base > 0.0
         # power-of-two scales are exact in binary floating point
         for s in (0.5, 2.0, 4.0, 0.25):
-            assert mutual_coherence(_single_aoa_operator(s * m)) == base
+            assert scaled_mu(s) == base
         # arbitrary scales cancel analytically, up to last-ulp rounding
-        assert mutual_coherence(_single_aoa_operator(3.0 * m)) == pytest.approx(base, rel=1e-15)
+        assert scaled_mu(3.0) == pytest.approx(base, rel=1e-15)
 
     def test_zero_column_named_in_error(self):
-        m = np.ones((3, 4), dtype=complex)
-        m[:, 2] = 0.0
-        with pytest.raises(DegenerateInputError, match="column 2 of the pilot factor"):
-            mutual_coherence(_single_aoa_operator(m))
-        a_r = np.ones((2, 3), dtype=complex)
+        cfg = load_experiment_config("desk")
+        dicts = build_dictionaries(cfg.grids, cfg.system)
+        broadside = cfg.grids.g_phi // 2  # the AoD column whose steering weights are all equal
+        with pytest.raises(DegenerateInputError, match=f"column {broadside} of the pilot factor"):
+            mutual_coherence(_zero_column_design(cfg), dicts)
+        a_r = dicts.a_r.copy()
         a_r[:, 1] = 0.0
         with pytest.raises(DegenerateInputError, match="column 1 of the AoA dictionary"):
-            mutual_coherence(SensingOperator(omega=np.eye(3), a_r=a_r))
+            mutual_coherence(make_baseline_design(cfg, 4, 0), replace(dicts, a_r=a_r))
 
     def test_generalized_decreases_towards_mutual(self):
         rng = np.random.default_rng(9)
@@ -345,9 +374,11 @@ class TestScalarCoherenceMetrics:
     def test_welch_bound_below_mutual_coherence(self):
         rng = np.random.default_rng(10)
         m = rng.standard_normal((6, 24)) + 1j * rng.standard_normal((6, 24))
-        op = _single_aoa_operator(m)
-        assert op.shape == (6, 24)
-        assert welch_bound(6, 24) <= mutual_coherence(op)
+        assert welch_bound(6, 24) <= dense_mutual_coherence(m)
+        design, dicts = _single_aoa_design(10)
+        report = coherence_report(design, dicts, 4)
+        assert (report.n_obs, report.n_atoms) == (6, 32)
+        assert welch_bound(6, 32) <= mutual_coherence(design, dicts)
 
 
 class TestSensingOperator:
@@ -442,7 +473,7 @@ class TestSensingOperator:
         design = PilotDesign(blocks=blocks, allocation=tuple(range(8)), total_power=1.0)
         op = build_sensing_matrix(design, dicts)
         dense = dense_mutual_coherence(dense_psi(op))
-        assert mutual_coherence(op) == pytest.approx(dense, abs=1e-12)
+        assert mutual_coherence(design, dicts) == pytest.approx(dense, abs=1e-12)
 
 
 class TestCoherenceReport:
@@ -498,22 +529,21 @@ class TestCoherenceReport:
                 assert report.mutual_coherence == pytest.approx(
                     dense_mutual_coherence(psi), abs=1e-12
                 )
-                assert report.mutual_coherence == mutual_coherence(op)
+                assert report.mutual_coherence == mutual_coherence(design, dicts)
 
     def test_cdf_holds_every_off_diagonal_omega_pair(self):
         _, _, dicts, blocks = small_setup(20)
         design = PilotDesign(blocks=blocks, allocation=tuple(range(8)), total_power=1.0)
         report = coherence_report(design, dicts, 4)
-        omega = build_omega(blocks, dicts)
-        norms = np.linalg.norm(omega, axis=0)
-        normalized = np.abs(omega.conj().T @ omega) / np.outer(norms, norms)
-        expected = np.sort(normalized[np.triu_indices(omega.shape[1], k=1)])
+        gram = normalized_omega_gram(design, dicts)
+        expected = np.sort(gram[np.triu_indices(gram.shape[0], k=1)])
         np.testing.assert_allclose(report.inner_product_cdf, expected, rtol=1e-12, atol=1e-15)
+        norms = np.linalg.norm(build_omega(blocks, dicts), axis=0)
         np.testing.assert_allclose(report.column_norm_cdf, np.sort(norms), rtol=1e-12)
 
     def test_blockwise_scan_and_sampled_cdf(self, monkeypatch):
-        # A small block cap splits every Gram scan into row blocks and sends
-        # the CDF down the seeded-subsample path.
+        # A small cap sends the CDF down the seeded-subsample path; the
+        # summary metrics do not depend on it.
         _, _, dicts, blocks = small_setup(21)
         design = PilotDesign(blocks=blocks, allocation=(1, 2, 6), total_power=1.0)
         whole = coherence_report(design, dicts, 4)
@@ -528,3 +558,50 @@ class TestCoherenceReport:
         assert split.inner_product_cdf.min() >= whole.inner_product_cdf.min() * (1 - 1e-12)
         again = coherence_report(design, dicts, 4)
         np.testing.assert_array_equal(again.inner_product_cdf, split.inner_product_cdf)
+        # The subsample holds the dense Gram's values at the seeded (i, j) draws.
+        gram = normalized_omega_gram(design, dicts)
+        n = gram.shape[0]
+        rng = np.random.default_rng(coherence._PAIR_SAMPLE_SEED)
+        i = rng.integers(0, n, 500)
+        j = rng.integers(0, n - 1, 500)
+        j = np.where(j >= i, j + 1, j)
+        np.testing.assert_allclose(split.inner_product_cdf, np.sort(gram[i, j]), rtol=0, atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def paper_baseline():
+    cfg = load_experiment_config("paper")
+    return build_dictionaries(cfg.grids, cfg.system), make_baseline_design(cfg, 9, 0)
+
+
+class TestPaperScaleReport:
+    def test_matches_dense_omega_gram(self, paper_baseline):
+        # 2 048 Omega columns: the dense Gram is 64 MiB and takes about 1 s.
+        dicts, design = paper_baseline
+        p = 4
+        report = coherence_report(design, dicts, p)
+        gram = normalized_omega_gram(design, dicts)
+        n_cols, g_theta = gram.shape[0], dicts.a_r.shape[1]
+        tol = dict(rtol=1e-12, atol=1e-14)
+        mu = max(gram.max(), dense_mutual_coherence(dicts.a_r))
+        np.testing.assert_allclose(report.mutual_coherence, mu, **tol)
+        # Off-diagonal Kronecker sum with unit diagonals: (O + N)(A + G) - N G.
+        omega_sum = np.sum(gram**p)
+        ar_sum = dense_generalized_coherence(dicts.a_r, p) ** p
+        nu_p = omega_sum * ar_sum + g_theta * omega_sum + n_cols * ar_sum
+        np.testing.assert_allclose(report.generalized, nu_p ** (1.0 / p), **tol)
+        upper = np.sort(gram[np.triu_indices(n_cols, k=1)])
+        np.testing.assert_allclose(report.inner_product_cdf, upper, **tol)
+        norms = np.linalg.norm(build_sensing_matrix(design, dicts).omega, axis=0)
+        np.testing.assert_allclose(report.column_norm_cdf, np.sort(norms), **tol)
+
+    def test_report_peak_memory(self, paper_baseline):
+        # The Omega factor's dense Gram alone would be 64 MiB.
+        dicts, design = paper_baseline
+        tracemalloc.start()
+        try:
+            coherence_report(design, dicts, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * 2**20
