@@ -93,11 +93,6 @@ class PilotDesign:
     def seq_len(self) -> int:
         return self.blocks.shape[2]
 
-    def full_matrix(self) -> np.ndarray:
-        """Blocks concatenated along symbols: Nt x (M*K)."""
-        k, nt, m = self.blocks.shape
-        return self.blocks.transpose(1, 0, 2).reshape(nt, k * m)
-
 
 def build_omega(blocks: np.ndarray, dicts: DictionarySet) -> np.ndarray:
     """Dense pilot-dependent factor, shape (M*K, G_tau*G_phi).

@@ -100,7 +100,10 @@ def omp_solve(
 
     norms = operator.column_norms()
     usable = norms > 0
-    y_norm = float(np.linalg.norm(y))
+    with np.errstate(over="ignore"):  # an overflowing norm is inf and refused below
+        y_norm = float(np.linalg.norm(y))
+    if not np.isfinite(y_norm):
+        raise FloatingPointError(f"measurement norm {y_norm} is not finite")
     floor = _RESIDUAL_REL_FLOOR * y_norm
 
     support: list[int] = []
@@ -174,6 +177,6 @@ def snr_sigma2(
     return per_entry / 10.0 ** (snr_db / 10.0)
 
 
-# Sparse-recovery solvers share the signature (y, operator, max_sparsity) ->
-# SparseEstimate; registering a new one here makes it harness-selectable.
+# run_estimate looks OMP up here at call time, so a wrapper put in its place
+# (bench/spans.py times every solve this way) sees every trial.
 SOLVERS = {"omp": omp_solve}

@@ -13,9 +13,11 @@ import csv
 import io
 import json
 import math
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass, replace
+from itertools import chain, repeat
 from pathlib import Path
 from typing import get_type_hints
 
@@ -86,20 +88,19 @@ class ChannelModelConfig:
 class EvaluationConfig:
     snr_db_list: tuple[float, ...]
     num_trials: int
-    solver: str
     max_sparsity: int
 
     def __post_init__(self) -> None:
         if not self.snr_db_list:
             raise ValueError("snr_db_list must be non-empty")
-        if not all(math.isfinite(v) for v in self.snr_db_list):
-            raise ValueError("snr_db_list entries must be finite")
+        # Within ±limit dB, 10^(snr/10) is a finite, nonzero float; nan fails too.
+        limit = 10 * sys.float_info.max_10_exp
+        if not all(abs(v) <= limit for v in self.snr_db_list):
+            raise ValueError(f"snr_db_list entries must lie within ±{limit} dB")
         if len(set(self.snr_db_list)) != len(self.snr_db_list):
             raise ValueError("snr_db_list entries must be distinct")
         if self.num_trials < 1:
             raise ValueError("num_trials must be >= 1")
-        if self.solver not in SOLVERS:
-            raise ValueError(f"unsupported solver '{self.solver}' (known: {sorted(SOLVERS)})")
         if self.max_sparsity < 1:
             raise ValueError("max_sparsity must be >= 1")
 
@@ -147,7 +148,6 @@ _DESK_PROFILE = {
     "rician_k_db": 10.0,
     "snr_db_list": (0.0, 5.0, 10.0, 15.0, 20.0),
     "num_trials": 200,
-    "solver": "omp",
     "max_sparsity": 3,
     "base_seed": 0,
 }
@@ -183,7 +183,7 @@ def _parse_float_list(raw: str) -> tuple[float, ...]:
     return tuple(_finite_float(v) for v in raw.split(",") if v.strip())
 
 
-_PARSERS = {int: int, float: _finite_float, str: str, tuple[float, ...]: _parse_float_list}
+_PARSERS = {int: int, float: _finite_float, tuple[float, ...]: _parse_float_list}
 _FIELD_TYPES = get_type_hints(ExperimentConfig)
 # Config keys named differently from their field: (section, field) -> key.
 _ALIASES = {("optimizer", "seed"): "opt_seed"}
@@ -273,7 +273,8 @@ def load_experiment_config(
 
 def save_design(design: PilotDesign, path: str | Path) -> None:
     """Write a design as JSON with blocks concatenated over subcarriers."""
-    full = design.full_matrix()
+    k, nt, m = design.blocks.shape
+    full = design.blocks.transpose(1, 0, 2).reshape(nt, k * m)  # Nt x (M*K)
     payload = {
         "K": design.num_subcarriers,
         "M": design.seq_len,
@@ -346,12 +347,16 @@ def _csv_text_field(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def _csv_fields(values: list) -> list[str]:
-    """Fields of one column chunk: numbers through ``repr``, each distinct text quoted once."""
-    if values and isinstance(values[0], str):
-        quoted = {text: _csv_text_field(text) for text in set(values)}
-        return list(map(quoted.__getitem__, values))
-    return list(map(repr, values))
+def _csv_fields(chunk: np.ndarray) -> list[str]:
+    """Fields of one column chunk; each run of equal values is formatted once.
+
+    Numbers are written as their ``repr``, text through ``_csv_text_field``.
+    Floats are compared by bit pattern, so ``0.0`` and ``-0.0`` stay apart.
+    """
+    keys = chunk.view(f"i{chunk.itemsize}") if chunk.dtype.kind == "f" else chunk
+    edges = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1], [True])))
+    texts = map(_csv_text_field if chunk.dtype.kind == "U" else repr, chunk[edges[:-1]].tolist())
+    return list(chain.from_iterable(map(repeat, texts, np.diff(edges).tolist())))
 
 
 def _write_csv(path: str | Path, header: list[str], columns) -> None:
@@ -360,40 +365,26 @@ def _write_csv(path: str | Path, header: list[str], columns) -> None:
     Every CSV output goes through here, so all share the ``csv`` module's
     default dialect (comma, ``QUOTE_MINIMAL``) with ``\n`` line endings.
     A column is a sequence of numbers or of ``str``; each slice of it goes
-    through ``np.asarray(...).tolist()``, so numpy and Python values alike
-    become Python scalars. Numbers are written as their ``repr``, the
-    shortest text that reads back to the same value and what ``csv``
-    writes for a Python float or int. Each distinct text value is quoted
-    by the ``csv`` module itself, so a value holding ``,`` or ``"`` reads
-    back unchanged. A stride-0 numpy column (``np.broadcast_to``) is
-    constant: it is formatted once into the text around the other fields.
-    Rows are formatted and written ``_CSV_CHUNK`` at a time, so memory
-    stays bounded by one chunk whatever the row count.
+    through ``np.asarray`` and ``_csv_fields``. Numbers are written as their
+    ``repr``, the shortest text that reads back to the same value and what
+    ``csv`` writes for a Python float or int. Text is quoted by the ``csv``
+    module itself, so a value holding ``,`` or ``"`` reads back unchanged.
+    Rows are formatted and written ``_CSV_CHUNK`` at a time, so memory stays
+    bounded by one chunk whatever the row count.
     """
     if len(columns) != len(header):
         raise ValueError("one column per header field is required")
     n = len(columns[0]) if columns else 0
     if any(len(col) != n for col in columns):
         raise ValueError("columns must have equal length")
-    # One row as text pieces around a None slot per varying field.
-    row, varying = [""], []
-    for i, col in enumerate(columns):
-        row[-1] += "," if i else ""
-        if n and isinstance(col, np.ndarray) and col.strides == (0,):
-            row[-1] += _csv_fields(col[:1].tolist())[0]
-        else:
-            row += [None, ""]
-            varying.append(col)
-    row[-1] += "\n"
+    row = ",".join(["{}"] * len(columns)) + "\n"
     with open(path, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
         for start in range(0, n, _CSV_CHUNK):
-            stop = min(start + _CSV_CHUNK, n)
-            pieces = row * (stop - start)
-            for j, col in enumerate(varying):
-                values = np.asarray(col[start:stop]).tolist()
-                pieces[2 * j + 1::len(row)] = _csv_fields(values)
-            fh.write("".join(pieces))
+            cells = [_csv_fields(np.asarray(col[start:start + _CSV_CHUNK])) for col in columns]
+            if len(cells) == 1:  # as csv does, a row's lone empty field is "", not a blank line
+                cells[0] = [field or '""' for field in cells[0]]
+            fh.write("".join(map(row.format, *cells)))
 
 
 def save_trace(trace: OptimizationTrace, path: str | Path) -> None:
@@ -534,7 +525,6 @@ def run_estimate(
     dicts = build_dictionaries(cfg.grids, sys_cfg)
     operators = {tag: build_sensing_matrix(d, dicts) for tag, d in designs}
     ev = cfg.evaluation
-    solve = SOLVERS[ev.solver]
 
     # One channel per trial index, shared by every method and SNR point.
     channels = []
@@ -558,7 +548,7 @@ def run_estimate(
         )
         started = time.perf_counter()
         y = synthesize_measurement(h, design, sigma2, (cfg.base_seed + trial, _NOISE_STREAM))
-        est = solve(y, operators[tag], ev.max_sparsity)
+        est = SOLVERS["omp"](y, operators[tag], ev.max_sparsity)
         h_hat = reconstruct_channel(est, dicts)
         nmse_values[cell] = nmse(h.stacked, h_hat.stacked)
         elapsed_ms[cell] = (time.perf_counter() - started) * 1e3

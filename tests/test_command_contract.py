@@ -1,7 +1,8 @@
 """Bounded fuzz of whole commands through ``cli.main``: every run ends in 0, 2 or 3.
 
 Each example runs one desk-profile command in-process with small overrides
-(at most 5 iterations and 2 trials) on a design file that may be corrupted
+(at most 5 iterations and 2 trials, and maybe an SNR at or beyond the
+±3 080 dB limit) on a design file that may be corrupted
 and an ``--out`` path that may be unusable. An exception escaping ``main``
 would reach the user as a traceback with exit code 1. The examples are
 derandomized and bounded, so the suite stays deterministic. The design
@@ -127,11 +128,14 @@ def test_command_exits_with_a_documented_code(tmp_path, monkeypatch, data):
     payload = json.loads((work / "design_fuzz.json").read_text())
     (work / "design_fuzz.json").write_text(_corrupted_design_text(data, payload))
 
-    (work / "tiny.cfg").write_text(
-        f"iterations = {data.draw(st.integers(0, 5))}\n"
-        f"num_trials = {data.draw(st.integers(1, 2))}\n"
-    )
+    iterations = data.draw(st.integers(0, 5))
+    num_trials = data.draw(st.integers(1, 2))
     command = data.draw(st.sampled_from(_COMMANDS))
+    snr = data.draw(st.sampled_from([None, 10, 3080, 4000, -3080, -1e308]))
+    (work / "tiny.cfg").write_text(
+        f"iterations = {iterations}\nnum_trials = {num_trials}\n"
+        + ("" if snr is None else f"snr_db_list = {snr}\n")
+    )
     argv = [command, "--profile", "desk", "--config", "tiny.cfg"]
     seed = data.draw(st.sampled_from([None, 0, 3, -1, 2**64]))
     if seed is not None:

@@ -154,6 +154,16 @@ class TestOmpSolve:
         assert est.support == ()
         assert est.residual_norm == 0.0
 
+    @pytest.mark.parametrize("bad", [np.inf, 1e200])
+    def test_non_finite_measurement_norm_raises(self, bad):
+        # inf itself, or entries whose squared sum overflows to inf
+        _, _, dicts, design = orthogonal_setup()
+        op = build_sensing_matrix(design, dicts)
+        y = op.column(5).copy()
+        y[:] = bad
+        with pytest.raises(FloatingPointError, match="not finite"):
+            omp_solve(y, op, max_sparsity=2)
+
     def test_sparsity_exceeding_observations_rejected(self):
         _, _, dicts, design = orthogonal_setup()
         op = build_sensing_matrix(design, dicts)

@@ -1,10 +1,13 @@
 import csv
 import json
+import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pilotopt import (
     ChannelModelConfig,
@@ -63,9 +66,10 @@ class TestConfigLoading:
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
-        for key in ("not_a_real_key", "carrier_freq_hz"):  # no code reads a carrier frequency
+        # No code reads a carrier frequency, and OMP is the only solver.
+        for key in ("not_a_real_key", "carrier_freq_hz", "solver"):
             path.write_text(f"{key} = 1\n")
-            with pytest.raises(ConfigError, match=key):
+            with pytest.raises(ConfigError, match=f"^{key}: unknown configuration key"):
                 load_experiment_config("desk", path)
 
     def test_bad_value_rejected(self, tmp_path):
@@ -428,6 +432,16 @@ def _oracle_bytes(tmp_path, header, rows):
     return path.read_bytes()
 
 
+# Values a CSV column is drawn from, in runs; "-nan" differs from nan only in its sign bit.
+_CSV_POOLS = {
+    "float": (float, [0.0, -0.0, float("nan"), -float("nan"), float("inf"), float("-inf"),
+                      5e-324, 0.1, 1e16]),
+    "int": (np.int64, [0, 1, -7, 2**63 - 1]),
+    "big_int": (object, [0, 3, 2**64 + 5, 10**30]),
+    "text": (str, ["", 'a,"b"', "two\nlines", " padded ", "x"]),
+}
+
+
 class TestCsvWriter:
     """The column-wise writer against the row-wise csv.writer route, byte for byte."""
 
@@ -542,9 +556,42 @@ class TestCsvWriter:
         rows = [['lead,"x"', t, int(i), 42, repr(float(v)), "tail"]
                 for t, i, v in zip(tags, ints, values)]
         self._check(tmp_path, ["a", "b", "c", "d", "e", "f"], columns, rows)
-        # Only constant columns: every row is the same folded text.
+        # Only constant columns: every row is the same text.
         self._check(tmp_path, ["a", "b"], columns[-1:] + columns[:1],
                     [["tail", 'lead,"x"']] * n)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_runs_match_row_route(self, tmp_path, monkeypatch, data):
+        monkeypatch.setattr(harness, "_CSV_CHUNK", data.draw(st.integers(1, 7)))
+        n = data.draw(st.integers(0, 40))
+        columns, rows = [], [[] for _ in range(n)]
+        kinds = data.draw(st.lists(st.sampled_from(sorted(_CSV_POOLS)), min_size=1, max_size=4))
+        for kind in kinds:
+            dtype, pool = _CSV_POOLS[kind]
+            values = []
+            while len(values) < n:
+                values += [data.draw(st.sampled_from(pool))] * data.draw(st.integers(1, 9))
+            columns.append(np.asarray(values[:n], dtype=dtype))
+            for row, v in zip(rows, values):
+                row.append(repr(v) if kind == "float" else v)
+        self._check(tmp_path, [f"c{i}" for i in range(len(columns))], columns, rows)
+
+    def test_memory_bounded_by_one_chunk(self, tmp_path):
+        # About 300 k sorted values in runs of 1 to 29, as in a report CDF.
+        distinct = np.random.default_rng(0).random(20_000)
+        values = np.sort(np.repeat(distinct, np.arange(distinct.size) % 29 + 1))
+        kind = np.broadcast_to("inner_product", values.size)
+        path = tmp_path / "cdf.csv"
+        tracemalloc.start()
+        try:
+            harness._write_csv(path, ["kind", "value"], [kind, values])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 8_000_000
+        assert peak <= 1 << 20
 
     def test_mismatched_columns_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="equal length"):
@@ -673,6 +720,25 @@ class TestCli:
                    "--designs", str(design)])
         assert rc == 2
         assert not (tmp_path / "e" / "trials.csv").exists()
+
+    @pytest.mark.parametrize(
+        ("snr", "total_power", "code"),
+        [("4000", 512.0, 2), ("1e308", 512.0, 2), ("-1e308", 512.0, 2), ("-3060", 512.0, 3),
+         ("-3080", 512.0, 3), ("-3000", 1e300, 3), ("3080", 512.0, 0)],
+    )
+    def test_extreme_snr_exit_code(self, tmp_path, snr, total_power, code):
+        # 10^(snr/10) must be a finite, nonzero float; a measurement whose
+        # norm overflows is a numerical failure, not an all-1.0 NMSE table.
+        cfg_file = tmp_path / "snr.cfg"
+        cfg_file.write_text(f"num_trials = 2\ntotal_power = {total_power}\nsnr_db_list = {snr}\n")
+        desk = load_experiment_config("desk")
+        cfg = replace(desk, system=replace(desk.system, total_power=total_power))
+        design = tmp_path / "design_gauss.json"
+        save_design(make_baseline_design(cfg, 4, 0), design)
+        rc = main(["estimate", "--config", str(cfg_file), "--out", str(tmp_path / "e"),
+                   "--designs", str(design)])
+        assert rc == code
+        assert (tmp_path / "e" / "trials.csv").exists() == (code == 0)
 
     @pytest.mark.parametrize("command", ["design", "baseline", "estimate", "report"])
     def test_out_through_existing_file_exit_code(self, tmp_path, command):
