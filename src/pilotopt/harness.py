@@ -10,14 +10,15 @@ reproducible run to run.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
+import operator
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass, replace
-from itertools import chain, repeat
 from pathlib import Path
 from typing import get_type_hints
 
@@ -333,10 +334,11 @@ def load_design(path: str | Path) -> PilotDesign:
     return design
 
 
-# Rows per formatted chunk in _write_csv. Small chunks keep the writer's transient
-# memory near 0.2 MiB, so writing never sets a run's peak RSS (65 536-row chunks
-# added 5.6 MiB to a 41 MiB desk design run), and they are no slower.
-_CSV_CHUNK = 1 << 8
+# Rows per chunk in _write_csv. At 1 024 rows the per-chunk numpy work no longer
+# dominates, and the writer's transient memory stays near 0.3 MiB even when every
+# row differs (a 2 000-row trace), so writing never sets a run's peak RSS; 4 096-row
+# chunks took 0.6 MiB there and raised a desk design's peak RSS by 0.4 MiB.
+_CSV_CHUNK = 1 << 10
 
 
 def _csv_text_field(text: str) -> str:
@@ -347,44 +349,51 @@ def _csv_text_field(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def _csv_fields(chunk: np.ndarray) -> list[str]:
-    """Fields of one column chunk; each run of equal values is formatted once.
+def _csv_rows(chunk: list[np.ndarray], quote) -> tuple[list[str], list[int]]:
+    """Lines and lengths of the runs of equal rows in one chunk of columns.
 
-    Numbers are written as their ``repr``, text through ``_csv_text_field``.
-    Floats are compared by bit pattern, so ``0.0`` and ``-0.0`` stay apart.
+    A run ends where any column changes (floats compared by bit pattern, so
+    ``0.0`` and ``-0.0`` stay apart). Each run's row is formatted once:
+    numbers as their ``repr``, text through ``quote``.
     """
-    keys = chunk.view(f"i{chunk.itemsize}") if chunk.dtype.kind == "f" else chunk
-    edges = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1], [True])))
-    texts = map(_csv_text_field if chunk.dtype.kind == "U" else repr, chunk[edges[:-1]].tolist())
-    return list(chain.from_iterable(map(repeat, texts, np.diff(edges).tolist())))
+    change = np.zeros(len(chunk[0]) - 1, dtype=bool)
+    for col in chunk:
+        keys = col.view(f"i{col.itemsize}") if col.dtype.kind == "f" else col
+        change |= keys[1:] != keys[:-1]
+    edges = np.flatnonzero(np.concatenate(([True], change, [True])))
+    fields = [map(quote if col.dtype.kind == "U" else repr, col[edges[:-1]].tolist())
+              for col in chunk]
+    if len(fields) == 1:  # as csv does, a row's lone empty field is "", not a blank line
+        fields[0] = (field or '""' for field in fields[0])
+    row = ",".join(["{}"] * len(fields)) + "\n"
+    return list(map(row.format, *fields)), np.diff(edges).tolist()
 
 
 def _write_csv(path: str | Path, header: list[str], columns) -> None:
-    """Write ``header`` and the equal-length ``columns`` as CSV, column-wise.
+    """Write ``header`` and the equal-length ``columns`` as CSV.
 
     Every CSV output goes through here, so all share the ``csv`` module's
     default dialect (comma, ``QUOTE_MINIMAL``) with ``\n`` line endings.
-    A column is a sequence of numbers or of ``str``; each slice of it goes
-    through ``np.asarray`` and ``_csv_fields``. Numbers are written as their
-    ``repr``, the shortest text that reads back to the same value and what
-    ``csv`` writes for a Python float or int. Text is quoted by the ``csv``
-    module itself, so a value holding ``,`` or ``"`` reads back unchanged.
-    Rows are formatted and written ``_CSV_CHUNK`` at a time, so memory stays
-    bounded by one chunk whatever the row count.
+    A column is a sequence of numbers or of ``str``. Numbers are written as
+    their ``repr``, the shortest text that reads back to the same value and
+    what ``csv`` writes for a Python float or int. Text is quoted by the
+    ``csv`` module itself, once per distinct value in the file, so a value
+    holding ``,`` or ``"`` reads back unchanged. Columns are read
+    ``_CSV_CHUNK`` rows at a time through ``np.asarray``; ``_csv_rows``
+    formats each run of equal rows in a chunk once and its line is repeated,
+    so memory stays bounded by one chunk whatever the row count.
     """
     if len(columns) != len(header):
         raise ValueError("one column per header field is required")
     n = len(columns[0]) if columns else 0
     if any(len(col) != n for col in columns):
         raise ValueError("columns must have equal length")
-    row = ",".join(["{}"] * len(columns)) + "\n"
+    quote = functools.cache(_csv_text_field)
     with open(path, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
         for start in range(0, n, _CSV_CHUNK):
-            cells = [_csv_fields(np.asarray(col[start:start + _CSV_CHUNK])) for col in columns]
-            if len(cells) == 1:  # as csv does, a row's lone empty field is "", not a blank line
-                cells[0] = [field or '""' for field in cells[0]]
-            fh.write("".join(map(row.format, *cells)))
+            chunk = [np.asarray(col[start:start + _CSV_CHUNK]) for col in columns]
+            fh.write("".join(map(operator.mul, *_csv_rows(chunk, quote))))
 
 
 def save_trace(trace: OptimizationTrace, path: str | Path) -> None:
@@ -438,12 +447,17 @@ def run_design(cfg: ExperimentConfig, out_dir: str | Path, trace_every: int = 1)
     return {"design": design_path, "trace": trace_path, **report_paths}
 
 
-def make_baseline_design(cfg: ExperimentConfig, target_q: int, seed) -> PilotDesign:
-    """Gaussian pilot blocks on a uniformly random subcarrier subset."""
-    sys_cfg = cfg.system
-    k = sys_cfg.num_subcarriers
+def _check_target_q(cfg: ExperimentConfig, target_q: int) -> None:
+    k = cfg.system.num_subcarriers
     if not 1 <= target_q <= k:
         raise ConfigError("target_q", f"allocation size {target_q} out of range 1..{k}")
+
+
+def make_baseline_design(cfg: ExperimentConfig, target_q: int, seed) -> PilotDesign:
+    """Gaussian pilot blocks on a uniformly random subcarrier subset."""
+    _check_target_q(cfg, target_q)
+    sys_cfg = cfg.system
+    k = sys_cfg.num_subcarriers
     rng = np.random.default_rng(seed)
     allocation = tuple(sorted(int(v) for v in rng.choice(k, size=target_q, replace=False)))
     blocks = np.zeros((k, sys_cfg.num_tx, sys_cfg.seq_len), dtype=complex)
@@ -642,6 +656,8 @@ def run_sweep(
     values = [float(v) for v in lambda_values]
     if not values:
         raise ValueError("lambda_values must be non-empty")
+    if target_q is not None:
+        _check_target_q(cfg, target_q)
     sys_cfg = cfg.system
     dicts = build_dictionaries(cfg.grids, sys_cfg)
     out = Path(out_dir)

@@ -568,12 +568,6 @@ class TestCoherenceReport:
         np.testing.assert_allclose(split.inner_product_cdf, np.sort(gram[i, j]), rtol=0, atol=1e-12)
 
 
-@pytest.fixture(scope="module")
-def paper_baseline():
-    cfg = load_experiment_config("paper")
-    return build_dictionaries(cfg.grids, cfg.system), make_baseline_design(cfg, 9, 0)
-
-
 class TestPaperScaleReport:
     def test_matches_dense_omega_gram(self, paper_baseline):
         # 2 048 Omega columns: the dense Gram is 64 MiB and takes about 1 s.

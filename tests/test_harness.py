@@ -578,11 +578,52 @@ class TestCsvWriter:
                 row.append(repr(v) if kind == "float" else v)
         self._check(tmp_path, [f"c{i}" for i in range(len(columns))], columns, rows)
 
-    def test_memory_bounded_by_one_chunk(self, tmp_path):
+    @staticmethod
+    def _cdf_columns():
         # About 300 k sorted values in runs of 1 to 29, as in a report CDF.
         distinct = np.random.default_rng(0).random(20_000)
         values = np.sort(np.repeat(distinct, np.arange(distinct.size) % 29 + 1))
-        kind = np.broadcast_to("inner_product", values.size)
+        return [np.broadcast_to("inner_product", values.size), values]
+
+    def test_paper_report_cdfs_match_row_route(self, tmp_path, paper_baseline):
+        # The full 2.1 M-row inner-product CDF takes seconds through the row route;
+        # a 131 072-row slice keeps its runs of 1 to 32 rows, many across chunk edges.
+        dicts, design = paper_baseline
+        report = coherence_report(design, dicts, 4)
+        inner = report.inner_product_cdf[1_000_003:1_000_003 + (1 << 17)]
+        edges = np.arange(harness._CSV_CHUNK, inner.size, harness._CSV_CHUNK)
+        assert np.any(inner[edges] == inner[edges - 1])
+        for kind, values in (("inner_product", inner), ("column_norm", report.column_norm_cdf)):
+            self._check(tmp_path, ["kind", "value"], [np.broadcast_to(kind, values.size), values],
+                        [(kind, repr(float(v))) for v in values])
+
+    def test_each_run_formatted_once(self, tmp_path, monkeypatch):
+        kind, values = self._cdf_columns()
+        quoted, lines = [], []
+
+        def text_field(text):
+            quoted.append(text)
+            return csv_text_field(text)
+
+        def rows(chunk, quote):
+            out = csv_rows(chunk, quote)
+            lines.extend(out[0])
+            return out
+
+        csv_text_field, csv_rows = harness._csv_text_field, harness._csv_rows
+        monkeypatch.setattr(harness, "_csv_text_field", text_field)
+        monkeypatch.setattr(harness, "_csv_rows", rows)
+        row_runs = 1 + np.count_nonzero(values[1:] != values[:-1])
+        chunks = -(-values.size // harness._CSV_CHUNK)
+        for path in ("a.csv", "b.csv"):  # the kind is quoted once per file
+            harness._write_csv(tmp_path / path, ["kind", "value"], [kind, values])
+            assert quoted == ["inner_product"]
+            assert row_runs <= len(lines) <= row_runs + chunks
+            quoted.clear()
+            lines.clear()
+
+    def test_memory_bounded_by_one_chunk(self, tmp_path):
+        kind, values = self._cdf_columns()
         path = tmp_path / "cdf.csv"
         tracemalloc.start()
         try:
@@ -592,6 +633,18 @@ class TestCsvWriter:
             tracemalloc.stop()
         assert path.stat().st_size > 8_000_000
         assert peak <= 1 << 20
+
+    def test_memory_bounded_when_rows_differ(self, tmp_path):
+        # A 2 000-iteration trace: no two rows are equal, so every row is formatted.
+        rng = np.random.default_rng(0)
+        columns = [np.arange(2000), *rng.random((4, 2000))]
+        tracemalloc.start()
+        try:
+            harness._write_csv(tmp_path / "trace.csv", list("abcde"), columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 19
 
     def test_mismatched_columns_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="equal length"):
@@ -692,6 +745,16 @@ class TestCli:
     def test_out_of_range_target_q_exit_code(self, tmp_path, target_q):
         out = tmp_path / "b.json"
         assert main(["baseline", "--target-q", target_q, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target_q", ["-5", "0", "K+1"])
+    def test_out_of_range_sweep_target_q_exit_code(self, tmp_path, capsys, target_q):
+        k = load_experiment_config("desk").system.num_subcarriers
+        target_q = target_q.replace("K+1", str(k + 1))
+        out = tmp_path / "s"
+        assert main(["sweep-lambda", "--profile", "desk", "--out", str(out), "--lambdas", "0.7",
+                     "--target-q", target_q]) == 2
+        assert f"allocation size {target_q} out of range 1..{k}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
