@@ -22,7 +22,6 @@ from .coherence import (
     CoherenceReport,
     PilotDesign,
     SensingOperator,
-    build_omega,
     build_sensing_matrix,
     coherence_report,
     mutual_coherence,

@@ -2,9 +2,11 @@
 
 The sensing matrix of the pilot measurement factorizes as
 ``Psi = Omega kron A_r`` where ``Omega`` collects the pilot-dependent
-delay/AoD part and ``A_r`` is the AoA dictionary. Every hot-path
-evaluation here works on the small ``Omega`` factor only; ``Psi`` is never
-formed.
+delay/AoD part and ``A_r`` is the AoA dictionary. Neither ``Psi`` nor the
+dense ``Omega`` is formed: the coherence metrics read the delay-difference
+rows of the Omega Gram below, and the sensing operator holds ``Omega`` as
+its factors ``b_k[g_tau] * r_k(g_phi)`` plus those same rows, so OMP takes
+its correlations from ``Psi^H Psi = (Omega^H Omega) kron (A_r^H A_r)``.
 
 Column inner products of ``Omega`` obey
 
@@ -19,7 +21,7 @@ the (G_tau^2, G_phi^2) tensor of these products: row ``d`` recurs
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +34,6 @@ __all__ = [
     "PilotDesign",
     "CoherenceReport",
     "SensingOperator",
-    "build_omega",
     "build_sensing_matrix",
     "CoherenceEngine",
     "mutual_coherence",
@@ -94,60 +95,70 @@ class PilotDesign:
         return self.blocks.shape[2]
 
 
-def build_omega(blocks: np.ndarray, dicts: DictionarySet) -> np.ndarray:
-    """Dense pilot-dependent factor, shape (M*K, G_tau*G_phi).
-
-    Column ``j = g_tau * G_phi + g_phi`` stacks, over the K subcarriers,
-    the M-vectors ``b_k(tau) * X_k^T conj(a_t(phi))``. All K subcarriers
-    participate (the selection matrix is the identity during design);
-    zeroed blocks simply contribute zero rows.
-    """
-    blocks = np.asarray(blocks, dtype=complex)
-    k, nt, m = blocks.shape
-    if nt != dicts.num_tx or k != dicts.num_subcarriers:
-        raise ValueError("design dimensions do not match the dictionaries")
-    # r[k, gf, :] = X_k^T conj(a_t(gf))
-    r = np.matmul(dicts.a_t.conj().T[None, :, :], blocks)  # (K, G_phi, M)
-    omega = np.einsum("kc,kfm->kmcf", dicts.b, r)
-    g_tau = dicts.b.shape[1]
-    g_phi = dicts.a_t.shape[1]
-    return omega.reshape(k * m, g_tau * g_phi)
-
-
 class SensingOperator:
-    """Matrix-free ``Psi = Omega kron A_r`` on the selected subcarriers.
+    """Matrix-free ``Psi = Omega kron A_r`` on the selected subcarriers, from its factors.
 
-    ``Omega`` rows cover the selected subcarriers in ascending order (all K
-    when unrestricted), so ``shape = (Nr*M*Q, G)``.
+    Omega column ``j = g_tau * G_phi + g_phi`` stacks, over the Q selected
+    subcarriers in ascending order, the M-vectors ``b_k[g_tau] * r_k[g_phi]``
+    with ``r_k = A_t^H X_k``, so ``shape = (Q*M*Nr, G)`` and Omega itself is
+    never formed. ``gram_rows`` are the unnormalized delay-difference rows
+    ``c_d`` (G_tau, G_phi, G_phi) of the Omega Gram; with ``ar_gram = A_r^H
+    A_r`` they give ``Psi^H Psi = (Omega^H Omega) kron ar_gram`` column by
+    column. Construction refuses a zero column of either factor.
     """
 
-    def __init__(self, omega: np.ndarray, a_r: np.ndarray):
-        self.omega = omega
-        self.a_r = a_r
-        self._col_norms: np.ndarray | None = None
+    def __init__(self, r: np.ndarray, b_sel: np.ndarray, a_r: np.ndarray, gram_rows: np.ndarray):
+        self.r = r  # (Q, G_phi, M)
+        self.b_sel = b_sel  # (Q, G_tau)
+        self.a_r = a_r  # (Nr, G_theta)
+        self.gram_rows = gram_rows
+        self.ar_gram = a_r.conj().T @ a_r
+        omega_norms, ar_norms = _column_norms(gram_rows, a_r)
+        self._col_norms = np.kron(np.tile(omega_norms, b_sel.shape[1]), ar_norms)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.omega.shape[0] * self.a_r.shape[0], self.omega.shape[1] * self.a_r.shape[1])
+        q, g_phi, m = self.r.shape
+        return (q * m * self.a_r.shape[0], self.b_sel.shape[1] * g_phi * self.a_r.shape[1])
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        """Adjoint product ``Psi^H y``."""
+        """Adjoint product ``Psi^H y = (conj(B_sel)^T stack_k(conj(r_k) Y_k)) conj(A_r)``."""
+        q, g_phi, m = self.r.shape
         n_r = self.a_r.shape[0]
-        mat = np.asarray(y).reshape(self.omega.shape[0], n_r)
-        return (self.omega.conj().T @ mat @ self.a_r.conj()).ravel()
+        z = np.matmul(self.r.conj(), np.asarray(y).reshape(q, m, n_r))  # (Q, G_phi, Nr)
+        zb = self.b_sel.conj().T @ z.reshape(q, g_phi * n_r)  # (G_tau, G_phi * Nr)
+        return (zb.reshape(-1, n_r) @ self.a_r.conj()).ravel()
 
     def column(self, g: int) -> np.ndarray:
-        n_theta = self.a_r.shape[1]
-        j, i = divmod(int(g), n_theta)
-        return np.outer(self.omega[:, j], self.a_r[:, i]).ravel()
+        """Column ``g`` of ``Psi``: ``(b_sel[:, g_tau] * r[:, g_phi, :]) kron a_r[:, g_theta]``."""
+        j, i = divmod(int(g), self.a_r.shape[1])
+        t, f = divmod(j, self.r.shape[1])
+        omega_col = (self.b_sel[:, t, None] * self.r[:, f, :]).ravel()
+        return np.outer(omega_col, self.a_r[:, i]).ravel()
 
     def column_norms(self) -> np.ndarray:
-        """Norms of all columns: ||omega_j||_2 * sqrt(Nr), per the Kronecker split."""
-        if self._col_norms is None:
-            omega_norms = np.linalg.norm(self.omega, axis=0)
-            a_norms = np.linalg.norm(self.a_r, axis=0)
-            self._col_norms = np.kron(omega_norms, a_norms)
+        """Norms of all columns: ``||omega_j||_2 * ||a_r,i||_2``, per the Kronecker split."""
         return self._col_norms
+
+    def residual_correlations(
+        self, alpha0: np.ndarray, atoms: list[int], gains: np.ndarray
+    ) -> np.ndarray:
+        """``Psi^H (y - Psi[:, atoms] @ gains)`` from ``alpha0 = Psi^H y``, through the Gram.
+
+        Omega Gram entry ``((a, f), (b, f'))`` is ``c_{a-b}[f, f']`` for ``a >= b``
+        and ``conj(c_{b-a}[f', f])`` otherwise, so each atom's Omega Gram
+        column is two slices of the rows. The update stays factored: the
+        (G_tau G_phi, |S|) Omega Gram columns scaled by the gains, times the
+        atoms' (|S|, G_theta) A_r Gram rows.
+        """
+        g_tau, g_phi, _ = self.gram_rows.shape
+        j, i = np.divmod(np.asarray(atoms), self.a_r.shape[1])
+        og = np.empty((len(atoms), g_tau, g_phi), dtype=complex)
+        for s, (t, f) in enumerate(zip(*np.divmod(j, g_phi))):
+            og[s, :t] = self.gram_rows[t:0:-1, f, :].conj()
+            og[s, t:] = self.gram_rows[: g_tau - t, :, f]
+        corr = (og.reshape(len(atoms), -1).T @ (gains[:, None] * self.ar_gram[:, i].T)).ravel()
+        return np.subtract(alpha0, corr, out=corr)
 
 
 def _allocation_mask(design: PilotDesign, dicts: DictionarySet) -> np.ndarray:
@@ -160,10 +171,15 @@ def _allocation_mask(design: PilotDesign, dicts: DictionarySet) -> np.ndarray:
 
 
 def build_sensing_matrix(design: PilotDesign, dicts: DictionarySet) -> SensingOperator:
-    """Assemble the structured sensing operator on the allocated subcarriers."""
+    """Assemble the factored sensing operator on the allocated subcarriers.
+
+    Raises ``DegenerateInputError`` for a zero column of the pilot factor or
+    of ``A_r``, by the same check and message as the coherence report.
+    """
     sel = _allocation_mask(design, dicts)
-    omega = build_omega(design.blocks[sel], replace(dicts, b=dicts.b[sel]))
-    return SensingOperator(omega=omega, a_r=dicts.a_r)
+    rows, _ = _omega_gram_rows(design, dicts)
+    r = np.matmul(dicts.a_t.conj().T[None, :, :], design.blocks[sel])  # (Q, G_phi, M)
+    return SensingOperator(r=r, b_sel=dicts.b[sel], a_r=dicts.a_r, gram_rows=rows)
 
 
 class CoherenceEngine:
@@ -226,27 +242,48 @@ class CoherenceEngine:
         return float(v_p ** (1.0 / p)), v_p, vgrad
 
 
-def _normalized_rows(design: PilotDesign, dicts: DictionarySet) -> tuple[np.ndarray, ...]:
-    """Normalized Gram rows of both factors of ``Psi`` on the allocated subcarriers.
+def _omega_gram_rows(design: PilotDesign, dicts: DictionarySet) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized Omega Gram rows ``c_d`` on the allocated subcarriers, and their multiplicities.
 
-    Returns ``(rows, n, ar_gram, mult)``: ``rows[d] = |c_d| / (n n^T)``, shape
-    (G_tau, G_phi, G_phi); the Omega column norms ``n = sqrt(diag c_0)``, one
-    per g_phi since ``|b_k| = 1``; the normalized A_r Gram; the engine's pair
-    multiplicities. Omega Gram entry ``((a, f), (b, f'))`` has magnitude
-    ``rows[a - b, f, f']`` for ``a >= b`` and ``rows[b - a, f', f]`` otherwise.
+    One ``gram_tensor`` call on all K subcarriers, with the blocks outside the
+    allocation zeroed (they add nothing), so the uniform-grid check keeps the
+    full grid's tolerance. Returns the (G_tau, G_phi, G_phi) rows and the
+    engine's pair multiplicities.
     """
     blocks = np.where(_allocation_mask(design, dicts)[:, None, None], design.blocks, 0)
-    # On all K subcarriers the uniform-grid check keeps the full grid's tolerance.
     engine = CoherenceEngine(dicts)
     c = engine.gram_tensor(blocks).reshape(engine.g_tau, engine.g_phi, engine.g_phi)
-    norms = np.sqrt(c[0].diagonal().real)
-    ar_norms = np.linalg.norm(dicts.a_r, axis=0)
+    return c, engine._mult
+
+
+def _column_norms(rows: np.ndarray, a_r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Omega column norms ``sqrt(diag c_0)``, one per g_phi since ``|b_k| = 1``, and A_r's.
+
+    Refuses a zero column of either factor: its normalized inner products
+    are undefined, and OMP could never select it.
+    """
+    norms = np.sqrt(rows[0].diagonal().real)
+    ar_norms = np.linalg.norm(a_r, axis=0)
     for n, what in ((norms, "the pilot factor"), (ar_norms, "the AoA dictionary")):
         zero = np.flatnonzero(n == 0)
         if zero.size:
             raise DegenerateInputError(f"column {int(zero[0])} of {what} has zero norm")
+    return norms, ar_norms
+
+
+def _normalized_rows(design: PilotDesign, dicts: DictionarySet) -> tuple[np.ndarray, ...]:
+    """Normalized Gram rows of both factors of ``Psi`` on the allocated subcarriers.
+
+    Returns ``(rows, n, ar_gram, mult)``: ``rows[d] = |c_d| / (n n^T)``, shape
+    (G_tau, G_phi, G_phi); the Omega column norms ``n``; the normalized A_r
+    Gram; the engine's pair multiplicities. Omega Gram entry ``((a, f), (b,
+    f'))`` has magnitude ``rows[a - b, f, f']`` for ``a >= b`` and ``rows[b -
+    a, f', f]`` otherwise.
+    """
+    c, mult = _omega_gram_rows(design, dicts)
+    norms, ar_norms = _column_norms(c, dicts.a_r)
     ar_gram = np.abs(dicts.a_r.conj().T @ dicts.a_r) / np.outer(ar_norms, ar_norms)
-    return np.abs(c) / np.outer(norms, norms), norms, ar_gram, engine._mult
+    return np.abs(c) / np.outer(norms, norms), norms, ar_gram, mult
 
 
 def _kron_mu(rows: np.ndarray, ar_gram: np.ndarray) -> float:

@@ -88,6 +88,12 @@ def omp_solve(
     squares fit on the active set each iteration, and stops early once the
     residual drops to the numerical floor relative to ``||y||``. The
     residual norm is checked to be non-increasing at every step.
+
+    The correlations come from the Gram (Batch-OMP): one adjoint
+    ``alpha0 = Psi^H y`` per call, then ``Psi^H r = alpha0 - Psi^H Psi_S c``
+    through the operator's factored Gram after each refit. The gains and
+    the residual still come from the ``|S|`` explicit columns, since the
+    Gram identity for ``||r||`` cancels far above the early-stop floor.
     """
     y = np.asarray(y, dtype=complex)
     n_obs, n_atoms = operator.shape
@@ -99,7 +105,6 @@ def omp_solve(
         raise ValueError("max_sparsity cannot exceed the number of observations")
 
     norms = operator.column_norms()
-    usable = norms > 0
     with np.errstate(over="ignore"):  # an overflowing norm is inf and refused below
         y_norm = float(np.linalg.norm(y))
     if not np.isfinite(y_norm):
@@ -107,18 +112,20 @@ def omp_solve(
     floor = _RESIDUAL_REL_FLOOR * y_norm
 
     support: list[int] = []
+    columns: list[np.ndarray] = []
     coefficients = np.zeros(0, dtype=complex)
-    residual = y
     residual_norm = y_norm
+    alpha0 = operator.rmatvec(y)
 
     while len(support) < max_sparsity and residual_norm > floor:
-        corr = np.abs(operator.rmatvec(residual))
-        corr = np.where(usable, corr / np.where(usable, norms, 1.0), -1.0)
-        if support:
-            corr[np.asarray(support)] = -1.0
-        g = int(np.argmax(corr))
+        corr = operator.residual_correlations(alpha0, support, coefficients) if support else alpha0
+        score = np.abs(corr)
+        score /= norms
+        score[support] = -1.0
+        g = int(np.argmax(score))
         support.append(g)
-        basis = np.column_stack([operator.column(s) for s in support])
+        columns.append(operator.column(g))
+        basis = np.column_stack(columns)
         coefficients, _, rank, _ = np.linalg.lstsq(basis, y, rcond=None)
         if rank < len(support):
             logger.warning(
@@ -127,8 +134,7 @@ def omp_solve(
                 rank,
                 len(support),
             )
-        residual = y - basis @ coefficients
-        new_norm = float(np.linalg.norm(residual))
+        new_norm = float(np.linalg.norm(y - basis @ coefficients))
         if new_norm > residual_norm * (1.0 + 1e-9) + 1e-15:
             raise FloatingPointError(
                 f"OMP residual increased from {residual_norm} to {new_norm}"

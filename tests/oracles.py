@@ -1,29 +1,31 @@
 """Slow reference implementations that the library's fast paths are checked against.
 
-Each oracle evaluates a quantity straight from its defining formula: one
-Omega Gram entry from the subcarrier sum, the coherence objective and its
-gradient from the full (G_tau^2, G_phi^2) Omega Gram tensor, the dense
-``Psi = Omega kron A_r`` (behind a memory cap) and its forward product,
-the full-sensing-matrix objective from a dense ``Psi``, the normalized
-Gram of a design's dense ``Omega``, mutual and generalized coherence from
-a dense normalized Gram, the AoA dictionary
-coherence from its dense Gram, the flat grid index of a (delay, AoD, AoA)
-tuple, the channel of a virtual-gain vector and of a path realization as
-sums of Kronecker (Khatri-Rao) columns. ``f_omega`` is the engine's
-objective value alone, for tests that need no gradient.
+Each oracle evaluates a quantity straight from its defining formula: the
+dense pilot factor ``Omega`` from its Kronecker columns, one Omega Gram
+entry from the subcarrier sum, the coherence objective and its gradient
+from the full (G_tau^2, G_phi^2) Omega Gram tensor, the dense ``Psi =
+Omega kron A_r`` (behind a memory cap) and its forward product, OMP with
+one dense adjoint ``Psi^H r`` per step, the full-sensing-matrix objective
+from a dense ``Psi``, the normalized Gram of a design's dense ``Omega``,
+mutual and generalized coherence from a dense normalized Gram, the AoA
+dictionary coherence from its dense Gram, the flat grid index of a
+(delay, AoD, AoA) tuple, the channel of a virtual-gain vector and of a
+path realization as sums of Kronecker (Khatri-Rao) columns. ``f_omega``
+is the engine's objective value alone, for tests that need no gradient.
 ``median_difference_ci`` is the paired bootstrap interval the end-to-end
 acceptance criterion is judged by. ``write_csv_rows`` is the row-wise
 ``csv.writer`` route the column-wise CSV writer must match byte for byte.
 """
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 
 from pilotopt import (
     CoherenceEngine,
     PilotDesign,
-    build_sensing_matrix,
+    SparseEstimate,
     delay_response,
     steering_vector,
 )
@@ -46,18 +48,81 @@ def encode_grid_index(g_tau, g_phi, g_theta, spec):
     return (g_tau * spec.g_phi + g_phi) * spec.g_theta + g_theta
 
 
-def dense_psi(op, entry_cap=DENSE_ENTRY_CAP):
-    """The sensing operator's matrix ``Omega kron A_r``, refused above ``entry_cap`` entries."""
-    n, g = op.shape
+def build_omega(blocks, dicts):
+    """Dense pilot-dependent factor, shape (M*K, G_tau*G_phi).
+
+    Column ``j = g_tau * G_phi + g_phi`` stacks, over the K subcarriers,
+    the M-vectors ``b_k(tau) * X_k^T conj(a_t(phi))``. All K subcarriers
+    participate (the selection matrix is the identity during design);
+    zeroed blocks simply contribute zero rows.
+    """
+    blocks = np.asarray(blocks, dtype=complex)
+    k, nt, m = blocks.shape
+    if nt != dicts.num_tx or k != dicts.num_subcarriers:
+        raise ValueError("design dimensions do not match the dictionaries")
+    # r[k, gf, :] = X_k^T conj(a_t(gf))
+    r = np.matmul(dicts.a_t.conj().T[None, :, :], blocks)  # (K, G_phi, M)
+    omega = np.einsum("kc,kfm->kmcf", dicts.b, r)
+    g_tau = dicts.b.shape[1]
+    g_phi = dicts.a_t.shape[1]
+    return omega.reshape(k * m, g_tau * g_phi)
+
+
+def sensing_omega(design, dicts):
+    """Dense ``Omega`` on the allocated subcarriers, in ascending order."""
+    sel = list(design.allocation)
+    return build_omega(design.blocks[sel], replace(dicts, b=dicts.b[sel]))
+
+
+def dense_psi(design, dicts, entry_cap=DENSE_ENTRY_CAP):
+    """The sensing matrix ``Omega kron A_r``, refused above ``entry_cap`` entries."""
+    n = dicts.num_rx * design.seq_len * len(design.allocation)
+    g = dicts.spec.total
     if n * g > entry_cap:
         raise CapacityError(f"dense sensing matrix would need {n * g} entries (cap {entry_cap})")
-    return np.kron(op.omega, op.a_r)
+    return np.kron(sensing_omega(design, dicts), dicts.a_r)
 
 
-def psi_matvec(op, x):
+def psi_matvec(design, dicts, x):
     """Forward product ``Psi x`` as ``vec(Omega X A_r^T)``, X the (G_tau G_phi, G_theta) reshape."""
-    cube = np.asarray(x).reshape(op.omega.shape[1], op.a_r.shape[1])
-    return (op.omega @ cube @ op.a_r.T).ravel()
+    omega = sensing_omega(design, dicts)
+    cube = np.asarray(x).reshape(omega.shape[1], dicts.a_r.shape[1])
+    return (omega @ cube @ dicts.a_r.T).ravel()
+
+
+def dense_rmatvec(omega, a_r, y):
+    """Adjoint product ``Psi^H y`` as ``vec(Omega^H Y conj(A_r))``, Y the (Q M, Nr) reshape."""
+    mat = np.asarray(y).reshape(omega.shape[0], a_r.shape[0])
+    return (omega.conj().T @ mat @ a_r.conj()).ravel()
+
+
+def dense_omp_solve(y, omega, a_r, max_sparsity):
+    """OMP with one dense adjoint ``Psi^H r`` of the residual per step.
+
+    Same selection rule, least-squares refit and early stop as the
+    library's ``omp_solve``, with correlations taken straight from the
+    residual instead of through the Gram.
+    """
+    y = np.asarray(y, dtype=complex)
+    n_theta = a_r.shape[1]
+    norms = np.kron(np.linalg.norm(omega, axis=0), np.linalg.norm(a_r, axis=0))
+    floor = 1e-12 * float(np.linalg.norm(y))
+    support = []
+    coefficients = np.zeros(0, dtype=complex)
+    residual = y
+    residual_norm = float(np.linalg.norm(y))
+    while len(support) < max_sparsity and residual_norm > floor:
+        corr = np.abs(dense_rmatvec(omega, a_r, residual)) / norms
+        corr[support] = -1.0
+        support.append(int(np.argmax(corr)))
+        atoms = [divmod(g, n_theta) for g in support]
+        basis = np.column_stack([np.outer(omega[:, j], a_r[:, i]).ravel() for j, i in atoms])
+        coefficients = np.linalg.lstsq(basis, y, rcond=None)[0]
+        residual = y - basis @ coefficients
+        residual_norm = float(np.linalg.norm(residual))
+    return SparseEstimate(
+        support=tuple(support), coefficients=coefficients, residual_norm=residual_norm
+    )
 
 
 def _off_diagonal_normalized_gram(matrix):
@@ -71,7 +136,7 @@ def _off_diagonal_normalized_gram(matrix):
 
 def normalized_omega_gram(design, dicts):
     """Normalized off-diagonal Gram of the dense pilot factor on the allocated subcarriers."""
-    return _off_diagonal_normalized_gram(build_sensing_matrix(design, dicts).omega)
+    return _off_diagonal_normalized_gram(sensing_omega(design, dicts))
 
 
 def dense_mutual_coherence(matrix):
@@ -180,11 +245,10 @@ def f_psi_reference(blocks, dicts, p, entry_cap=DENSE_ENTRY_CAP):
     everywhere = PilotDesign(
         blocks=blocks, allocation=tuple(range(blocks.shape[0])), total_power=1.0
     )
-    op = build_sensing_matrix(everywhere, dicts)
-    g = op.shape[1]
+    g = dicts.spec.total
     if g * g > entry_cap:
         raise CapacityError(f"dense Gram would need {g * g} entries (cap {entry_cap})")
-    psi = dense_psi(op, entry_cap)
+    psi = dense_psi(everywhere, dicts, entry_cap)
     gram = psi.conj().T @ psi
     return float(np.sum(np.abs(gram) ** p) ** (1.0 / p))
 

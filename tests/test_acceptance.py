@@ -21,7 +21,6 @@ from pilotopt import (
     assemble_channel,
     block_penalty,
     build_dictionaries,
-    build_omega,
     build_sensing_matrix,
     coherence_report,
     gaussian_init,
@@ -41,7 +40,14 @@ from pilotopt import (
 )
 from pilotopt.cli import main as cli_main
 
-from oracles import c_omega, f_omega, f_psi_reference, median_difference_ci, t_p_dictionary
+from oracles import (
+    build_omega,
+    c_omega,
+    f_omega,
+    f_psi_reference,
+    median_difference_ci,
+    t_p_dictionary,
+)
 
 
 def _report(name: str, ok: bool, detail: str) -> None:

@@ -13,7 +13,6 @@ from pilotopt import (
     PilotDesign,
     SystemConfig,
     build_dictionaries,
-    build_omega,
     build_sensing_matrix,
     coherence_report,
     delay_response,
@@ -26,16 +25,19 @@ from pilotopt import (
 
 from oracles import (
     CapacityError,
+    build_omega,
     c_omega,
     dense_generalized_coherence,
     dense_mutual_coherence,
     dense_psi,
+    dense_rmatvec,
     f_omega,
     f_psi_reference,
     full_gram_tensor,
     full_gram_value_and_vgrad,
     normalized_omega_gram,
     psi_matvec,
+    sensing_omega,
     t_p_dictionary,
 )
 from test_command_contract import _zero_column_design
@@ -388,11 +390,11 @@ class TestSensingOperator:
             blocks=blocks, allocation=tuple(range(8)), total_power=float(np.sum(np.abs(blocks) ** 2))
         )
         op = build_sensing_matrix(design, dicts)
-        psi = dense_psi(op)
+        psi = dense_psi(design, dicts)
         rng = np.random.default_rng(12)
         x = rng.standard_normal(spec.total) + 1j * rng.standard_normal(spec.total)
         y = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
-        np.testing.assert_allclose(psi_matvec(op, x), psi @ x, rtol=1e-12, atol=1e-10)
+        np.testing.assert_allclose(psi_matvec(design, dicts, x), psi @ x, rtol=1e-12, atol=1e-10)
         np.testing.assert_allclose(op.rmatvec(y), psi.conj().T @ y, rtol=1e-12, atol=1e-10)
         np.testing.assert_allclose(op.column_norms(), np.linalg.norm(psi, axis=0), rtol=1e-10)
         for g in rng.integers(0, spec.total, 5):
@@ -404,7 +406,7 @@ class TestSensingOperator:
         op = build_sensing_matrix(design, dicts)
         e = np.zeros(spec.total, dtype=complex)
         e[37] = 1.0
-        np.testing.assert_allclose(psi_matvec(op, e), op.column(37), atol=1e-13)
+        np.testing.assert_allclose(psi_matvec(design, dicts, e), op.column(37), atol=1e-13)
 
     def test_restriction_drops_rows(self):
         cfg, spec, dicts, blocks = small_setup(14)
@@ -419,8 +421,8 @@ class TestSensingOperator:
         full = build_sensing_matrix(everywhere, dicts)
         assert full.shape[0] == cfg.num_rx * cfg.seq_len * 8
         # unallocated rows of the unrestricted operator are zero
-        dense_full = dense_psi(full)
-        dense_sub = dense_psi(op)
+        dense_full = dense_psi(everywhere, dicts)
+        dense_sub = dense_psi(design, dicts)
         m, nr = cfg.seq_len, cfg.num_rx
         rows = np.concatenate([np.arange(k * m * nr, (k + 1) * m * nr) for k in allocation])
         np.testing.assert_allclose(dense_full[rows], dense_sub, atol=1e-13)
@@ -437,7 +439,7 @@ class TestSensingOperator:
         # psi_g^H psi_g' = c_omega * (a_r^H a_r'), checked on the dense matrix
         _, spec, dicts, blocks = small_setup(15)
         design = PilotDesign(blocks=blocks, allocation=tuple(range(8)), total_power=1.0)
-        psi = dense_psi(build_sensing_matrix(design, dicts))
+        psi = dense_psi(design, dicts)
         rng = np.random.default_rng(16)
         for _ in range(20):
             g1, g2 = rng.integers(0, spec.total, 2)
@@ -453,7 +455,7 @@ class TestSensingOperator:
         _, spec, dicts, blocks = small_setup(17)
         design = PilotDesign(blocks=blocks, allocation=tuple(range(8)), total_power=1.0)
         op = build_sensing_matrix(design, dicts)
-        omega_norms = np.linalg.norm(op.omega, axis=0)
+        omega_norms = np.linalg.norm(sensing_omega(design, dicts), axis=0)
         nr = dicts.num_rx
         for g in (0, 7, 100, spec.total - 1):
             j = g // spec.g_theta
@@ -464,16 +466,50 @@ class TestSensingOperator:
     def test_dense_capacity_error(self):
         _, _, dicts, blocks = small_setup()
         design = PilotDesign(blocks=blocks, allocation=tuple(range(8)), total_power=1.0)
-        op = build_sensing_matrix(design, dicts)
         with pytest.raises(CapacityError):
-            dense_psi(op, entry_cap=100)
+            dense_psi(design, dicts, entry_cap=100)
 
     def test_operator_mutual_coherence_matches_dense(self):
         _, _, dicts, blocks = small_setup(18)
         design = PilotDesign(blocks=blocks, allocation=tuple(range(8)), total_power=1.0)
-        op = build_sensing_matrix(design, dicts)
-        dense = dense_mutual_coherence(dense_psi(op))
+        dense = dense_mutual_coherence(dense_psi(design, dicts))
         assert mutual_coherence(design, dicts) == pytest.approx(dense, abs=1e-12)
+
+
+class TestFactoredOperator:
+    """The operator's factored products against the dense Omega of the oracles."""
+
+    @pytest.mark.parametrize("every_subcarrier", [True, False])
+    @pytest.mark.parametrize("profile", ["desk", "paper"])
+    def test_products_match_dense_omega(self, profile, every_subcarrier):
+        cfg = load_experiment_config(profile)
+        dicts = build_dictionaries(cfg.grids, cfg.system)
+        k = cfg.system.num_subcarriers
+        design = make_baseline_design(cfg, k if every_subcarrier else k // 8, 5)
+        op = build_sensing_matrix(design, dicts)
+        omega = sensing_omega(design, dicts)
+        assert op.shape == (omega.shape[0] * dicts.num_rx, cfg.grids.total)
+        rng = np.random.default_rng(6)
+        y = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
+        expected = dense_rmatvec(omega, dicts.a_r, y)
+        assert np.linalg.norm(op.rmatvec(y) - expected) <= 1e-12 * np.linalg.norm(expected)
+        norms = np.kron(np.linalg.norm(omega, axis=0), np.linalg.norm(dicts.a_r, axis=0))
+        np.testing.assert_allclose(op.column_norms(), norms, rtol=1e-12)
+        for g in rng.integers(0, cfg.grids.total, 8):
+            j, i = divmod(int(g), cfg.grids.g_theta)
+            column = np.outer(omega[:, j], dicts.a_r[:, i]).ravel()
+            np.testing.assert_allclose(op.column(int(g)), column, rtol=1e-12, atol=0)
+
+    def test_refuses_zero_columns(self):
+        cfg = load_experiment_config("desk")
+        dicts = build_dictionaries(cfg.grids, cfg.system)
+        broadside = cfg.grids.g_phi // 2
+        with pytest.raises(DegenerateInputError, match=f"column {broadside} of the pilot factor"):
+            build_sensing_matrix(_zero_column_design(cfg), dicts)
+        a_r = dicts.a_r.copy()
+        a_r[:, 1] = 0.0
+        with pytest.raises(DegenerateInputError, match="column 1 of the AoA dictionary"):
+            build_sensing_matrix(make_baseline_design(cfg, 4, 0), replace(dicts, a_r=a_r))
 
 
 class TestCoherenceReport:
@@ -519,8 +555,7 @@ class TestCoherenceReport:
             masked = np.zeros_like(blocks)
             masked[list(allocation)] = blocks[list(allocation)]
             design = PilotDesign(blocks=masked, allocation=allocation, total_power=1.0)
-            op = build_sensing_matrix(design, dicts)
-            psi = dense_psi(op)
+            psi = dense_psi(design, dicts)
             for p in (2, 4, 6):
                 report = coherence_report(design, dicts, p)
                 assert report.generalized == pytest.approx(
@@ -586,7 +621,7 @@ class TestPaperScaleReport:
         np.testing.assert_allclose(report.generalized, nu_p ** (1.0 / p), **tol)
         upper = np.sort(gram[np.triu_indices(n_cols, k=1)])
         np.testing.assert_allclose(report.inner_product_cdf, upper, **tol)
-        norms = np.linalg.norm(build_sensing_matrix(design, dicts).omega, axis=0)
+        norms = np.linalg.norm(sensing_omega(design, dicts), axis=0)
         np.testing.assert_allclose(report.column_norm_cdf, np.sort(norms), **tol)
 
     def test_report_peak_memory(self, paper_baseline):

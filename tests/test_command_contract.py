@@ -66,9 +66,9 @@ def test_zero_column_design_report_and_estimate(tmp_path):
     cfg_file = tmp_path / "tiny.cfg"
     cfg_file.write_text("iterations = 5\nnum_trials = 2\n")
     base = ["--config", str(cfg_file)]
-    # coherence_report refuses the zero column; OMP skips it.
+    # The report and the sensing operator both refuse the zero column.
     assert main(["report", *base, "--design", str(design), "--out", str(tmp_path / "r")]) == 3
-    assert main(["estimate", *base, "--designs", str(design), "--out", str(tmp_path / "e")]) == 0
+    assert main(["estimate", *base, "--designs", str(design), "--out", str(tmp_path / "e")]) == 3
 
 
 def _corrupted_design_text(data, payload):

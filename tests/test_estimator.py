@@ -6,6 +6,7 @@ import pytest
 from pilotopt import (
     ChannelRealization,
     DegenerateInputError,
+    DictionarySet,
     GridSpec,
     PilotDesign,
     SensingOperator,
@@ -13,15 +14,18 @@ from pilotopt import (
     assemble_channel,
     build_dictionaries,
     build_sensing_matrix,
+    load_experiment_config,
+    make_baseline_design,
     mutual_coherence,
     nmse,
     omp_solve,
     reconstruct_channel,
+    sample_channel,
     snr_sigma2,
     synthesize_measurement,
 )
 
-from oracles import virtual_channel
+from oracles import dense_omp_solve, dense_rmatvec, sensing_omega, virtual_channel
 
 
 def small_config(**overrides):
@@ -178,9 +182,14 @@ class TestOmpSolve:
         assert est.support == (5,)  # residual floor reached after one atom
 
     def test_duplicate_columns_warn_and_stay_monotone(self, caplog):
-        # two identical atoms: the second pick makes the active set singular
-        a = np.array([1.0, 0.0], dtype=complex)
-        op = SensingOperator(omega=np.array([[1.0, 1.0]], dtype=complex), a_r=a[:, None])
+        # One subcarrier, one tap and two equal AoD columns give two identical
+        # atoms: the second pick makes the active set singular.
+        dicts = DictionarySet(
+            theta_grid=np.zeros(1), phi_grid=np.zeros(2), tau_grid=np.zeros(1),
+            a_r=np.array([[1.0], [0.0]]), a_t=np.ones((1, 2)), b=np.ones((1, 1)),
+        )
+        design = PilotDesign(blocks=np.ones((1, 1, 1)), allocation=(0,), total_power=1.0)
+        op = build_sensing_matrix(design, dicts)
         y = np.array([1.0, 0.5], dtype=complex)  # component off the column span
         with caplog.at_level(logging.WARNING):
             est = omp_solve(y, op, max_sparsity=2)
@@ -195,6 +204,82 @@ class TestOmpSolve:
         y = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
         est = omp_solve(y, op, max_sparsity=6)
         assert len(set(est.support)) == len(est.support) == 6
+
+
+def _profile_case(profile):
+    """Profile config, dictionaries and a seeded Gaussian design on K/8 subcarriers."""
+    cfg = load_experiment_config(profile)
+    dicts = build_dictionaries(cfg.grids, cfg.system)
+    return cfg, dicts, make_baseline_design(cfg, cfg.system.num_subcarriers // 8, 4)
+
+
+def _measurement(cfg, design, trial, snr_db):
+    """Measurement of a seeded profile channel; noiseless when ``snr_db`` is None."""
+    s = cfg.system
+    h = assemble_channel(
+        sample_channel(s, cfg.channel.num_paths, cfg.channel.rician_k_db, 50 + trial), s
+    )
+    sigma2 = 0.0 if snr_db is None else snr_sigma2(
+        s.total_power, s.num_tx, s.seq_len, len(design.allocation), snr_db
+    )
+    return synthesize_measurement(h, design, sigma2, (trial, 11))
+
+
+def _rel(a, b):
+    return float(np.linalg.norm(np.asarray(a) - b) / np.linalg.norm(b))
+
+
+class TestGramOmp:
+    """Gram-updated OMP against one dense adjoint of the residual per step."""
+
+    @pytest.mark.parametrize("snr_db", [0.0, 10.0, 30.0, None])
+    @pytest.mark.parametrize("profile", ["desk", "paper"])
+    def test_matches_dense_oracle(self, profile, snr_db):
+        cfg, dicts, design = _profile_case(profile)
+        op = build_sensing_matrix(design, dicts)
+        omega = sensing_omega(design, dicts)
+        steps = []
+        gram_update = op.residual_correlations
+
+        def recording(alpha0, atoms, gains):
+            corr = gram_update(alpha0, atoms, gains)
+            steps.append((list(atoms), gains.copy(), corr.copy()))
+            return corr
+
+        op.residual_correlations = recording
+        sparsity = cfg.evaluation.max_sparsity
+        for trial in range(3):
+            y = _measurement(cfg, design, trial, snr_db)
+            steps.clear()
+            est = omp_solve(y, op, sparsity)
+            ref = dense_omp_solve(y, omega, dicts.a_r, sparsity)
+            assert est.support == ref.support
+            assert len(est.support) == sparsity
+            assert _rel(est.coefficients, ref.coefficients) <= 1e-12
+            assert est.residual_norm == pytest.approx(ref.residual_norm, rel=1e-12)
+            # One Gram update per step after the first, each equal to Psi^H r.
+            assert [atoms for atoms, _, _ in steps] == [
+                list(est.support[:n]) for n in range(1, sparsity)
+            ]
+            for atoms, gains, corr in steps:
+                basis = np.column_stack([op.column(g) for g in atoms])
+                explicit = dense_rmatvec(omega, dicts.a_r, y - basis @ gains)
+                assert _rel(corr, explicit) <= 1e-12
+
+    def test_one_adjoint_per_solve(self, monkeypatch):
+        cfg, dicts, design = _profile_case("paper")
+        op = build_sensing_matrix(design, dicts)
+        calls = []
+        adjoint = SensingOperator.rmatvec
+
+        def counting(self, y):
+            calls.append(1)
+            return adjoint(self, y)
+
+        monkeypatch.setattr(SensingOperator, "rmatvec", counting)
+        est = omp_solve(_measurement(cfg, design, 0, 10.0), op, max_sparsity=6)
+        assert len(est.support) == 6
+        assert len(calls) == 1
 
 
 class TestReconstructChannel:
