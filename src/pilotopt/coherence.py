@@ -17,11 +17,17 @@ weight ``conj(b_k[gt]) * b_k[gt']`` depends on ``d = gt - gt'`` alone. The
 gradient and the coherence report read only the rows ``d = 0..G_tau-1`` of
 the (G_tau^2, G_phi^2) tensor of these products: row ``d`` recurs
 ``G_tau - |d|`` times and ``d < 0`` is the Hermitian transpose of ``-d``.
+
+The design loop's engine sums these rows in (Nt, Nt) antenna space, in
+buffers made once per shape; the rows that leave it sum explicit column
+products over the allocated subcarriers (see ``CoherenceEngine``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -182,6 +188,17 @@ def build_sensing_matrix(design: PilotDesign, dicts: DictionarySet) -> SensingOp
     return SensingOperator(r=r, b_sel=dicts.b[sel], a_r=dicts.a_r, gram_rows=rows)
 
 
+def _arena(**specs: tuple[tuple[int, ...], type]) -> SimpleNamespace:
+    """Named views ``name -> (shape, dtype)`` into one allocation, at 64-byte offsets."""
+    sizes = {name: math.prod(shape) * np.dtype(dtype).itemsize for name, (shape, dtype) in specs.items()}
+    raw = np.empty(sum(-(-n // 64) * 64 for n in sizes.values()), dtype=np.uint8)
+    views, offset = {}, 0
+    for name, (shape, dtype) in specs.items():
+        views[name] = raw[offset : offset + sizes[name]].view(dtype).reshape(shape)
+        offset += -(-sizes[name] // 64) * 64
+    return SimpleNamespace(**views)
+
+
 class CoherenceEngine:
     """Coherence objective and gradient from the delay-difference Gram rows.
 
@@ -191,6 +208,19 @@ class CoherenceEngine:
     0]``. Row ``d`` recurs ``G_tau - |d|`` times and ``c_{-d} = c_d^H``, so
     only ``d >= 0`` is built. Construction refuses a dictionary whose ``W``
     is not Toeplitz in ``(a, b)``.
+
+    ``gram_tensor`` sums ``P_k = conj(r_k) r_k^T``, the inner products of
+    explicit Omega columns, so its diagonal holds their squared norms and
+    is never negative.
+    ``f_value_and_vgrad`` sums in antenna space instead: ``P_k = A_t^T
+    conj(X_k) X_k^T conj(A_t)``, so ``c_d = A_t^T S_d conj(A_t)`` with the
+    (Nt, Nt) matrices ``S_d = sum_k w_d[k] conj(X_k) X_k^T``, one AoD wrap
+    per delay difference. Its rows stay inside: their rounding is relative
+    to the largest column, which a near-zero column's normalized inner
+    products would not survive. It writes every intermediate into views of
+    one allocation, made once per blocks shape, so an engine must not be
+    shared between threads. No result is ever such a view: ``gram_tensor``
+    and the returned gradient are fresh arrays that later calls leave alone.
     """
 
     def __init__(self, dicts: DictionarySet):
@@ -209,14 +239,41 @@ class CoherenceEngine:
         # Multiplicity of the pair {c_d, c_-d}: G_tau for d = 0, 2 (G_tau - d) above.
         self._mult = 2.0 * (self.g_tau - np.arange(self.g_tau))
         self._mult[0] = self.g_tau
+        self._w_t = self._w_d.T.copy()  # (G_tau, K)
+        self._w_conj = self._w_d.conj()  # (K, G_tau)
         self._at_h = dicts.a_t.conj().T  # (G_phi, Nt)
+        self._at_t = dicts.a_t.T.copy()  # (G_phi, Nt)
+        self._at_conj = dicts.a_t.conj()  # (Nt, G_phi)
+        self._work = None
 
-    def gram_tensor(self, blocks: np.ndarray) -> np.ndarray:
-        """Delay-difference rows ``c_d``, d = 0..G_tau-1, as a (G_tau, G_phi^2) matrix."""
+    def _rows(self, blocks: np.ndarray, w_t: np.ndarray) -> np.ndarray:
+        """Fresh rows ``c_d`` (G_tau, G_phi, G_phi) over ``blocks``, weighted by ``w_t`` (G_tau, len(blocks))."""
         r = np.matmul(self._at_h[None, :, :], blocks)  # (K, G_phi, M)
         p_mat = np.matmul(r.conj(), r.transpose(0, 2, 1))  # (K, G_phi, G_phi)
-        k = blocks.shape[0]
-        return self._w_d.T @ p_mat.reshape(k, self.g_phi * self.g_phi)
+        rows = w_t @ p_mat.reshape(blocks.shape[0], self.g_phi * self.g_phi)
+        return rows.reshape(self.g_tau, self.g_phi, self.g_phi)
+
+    def gram_tensor(self, blocks: np.ndarray) -> np.ndarray:
+        """Delay-difference rows ``c_d``, d = 0..G_tau-1, as a fresh (G_tau, G_phi^2) matrix."""
+        return self._rows(blocks, self._w_t).reshape(self.g_tau, -1)
+
+    def _buffers(self, shape: tuple[int, ...]) -> SimpleNamespace:
+        """The work arena for pilot blocks of ``shape``, rebuilt when the shape changes."""
+        if self._work is None or self._work.shape != shape:
+            k, nt, m = shape
+            g_tau, g_phi = self.g_tau, self.g_phi
+            self._work = _arena(
+                xc=((k, nt, m), complex),  # conj(X_k)
+                y=((k, nt, nt), complex),  # conj(X_k) X_k^T, later s1_k^T
+                s=((g_tau, nt, nt), complex),  # S_d, later U_d^T
+                z=((g_tau, g_phi, nt), complex),  # A_t^T S_d, later T_d A_t^T
+                c=((g_tau, g_phi * g_phi), complex),  # c_d, later T_d
+                a2=((g_tau, g_phi * g_phi), float),
+                pw=((g_tau, g_phi * g_phi), float),
+                xv=((k, nt, m), complex),  # conj(s1_k^H X_k)
+            )
+            self._work.shape = shape
+        return self._work
 
     def f_value_and_vgrad(self, blocks: np.ndarray, p: int) -> tuple[float, float, np.ndarray]:
         """Return (f, v_p, dv_p/dconj(X)) for the coherence sum v_p = f^p.
@@ -224,36 +281,52 @@ class CoherenceEngine:
         ``v_p = sum_d m_d sum |c_d|^p``, where ``m_d`` counts the rows equal
         to ``c_d`` or ``c_-d``: G_tau for d = 0, 2 (G_tau - d) for d > 0.
         Contracting ``(p/2) |c|^(p-2) c`` against all delay-pair weights gives
-        a Hermitian ``F_k = H_k + H_k^H``; ``T_d = (p/2) m_d |c_d|^(p-2) c_d``
-        against ``conj(w_d)`` gives ``2 H_k``, and the wrap's ``s1 + s1^H``
-        restores ``F_k``. The wrapped matrix is applied to each pilot block.
+        a Hermitian ``F_k = H_k + H_k^H`` with ``2 H_k = sum_d conj(w_d[k])
+        T_d``, ``T_d = (p/2) m_d |c_d|^(p-2) c_d``. The AoD wrap moves into
+        antenna space once per delay difference, ``U_d = A_t T_d^T A_t^H``, so
+        ``s1_k = sum_d conj(w_d[k]) U_d`` and the gradient is ``(s1_k +
+        s1_k^H) X_k``. Only the returned gradient is allocated.
         """
         _require_even_p(p)
-        c = self.gram_tensor(blocks)
-        a2 = c.real**2 + c.imag**2
-        pw = a2 ** (p // 2 - 1)  # |c|^(p-2)
-        v_p = float(self._mult @ np.sum(pw * a2, axis=1))
-        t_mat = ((p / 2.0) * self._mult)[:, None] * pw * c
-        k = blocks.shape[0]
-        f_kphi = (self._w_d.conj() @ t_mat).reshape(k, self.g_phi, self.g_phi)
-        a_t = self.dicts.a_t
-        s1 = np.matmul(np.matmul(a_t, f_kphi.transpose(0, 2, 1)), a_t.conj().T)
-        vgrad = np.matmul(s1 + s1.conj().transpose(0, 2, 1), blocks)
+        k, nt, _ = blocks.shape
+        g_tau, g_phi = self.g_tau, self.g_phi
+        work = self._buffers(blocks.shape)
+        c, a2, pw = work.c, work.a2, work.pw
+        np.conjugate(blocks, out=work.xc)
+        np.matmul(work.xc, blocks.transpose(0, 2, 1), out=work.y)
+        np.matmul(self._w_t, work.y.reshape(k, nt * nt), out=work.s.reshape(g_tau, nt * nt))
+        np.matmul(self._at_t, work.s, out=work.z)
+        np.matmul(work.z.reshape(-1, nt), self._at_conj, out=c.reshape(-1, g_phi))
+        np.multiply(c.real, c.real, out=a2)
+        np.multiply(c.imag, c.imag, out=pw)
+        a2 += pw
+        np.power(a2, p // 2 - 1, out=pw)  # |c|^(p-2)
+        a2 *= pw
+        v_p = float(self._mult @ np.sum(a2, axis=1))
+        pw *= ((p / 2.0) * self._mult)[:, None]
+        c.real *= pw  # T_d, in place of c_d
+        c.imag *= pw
+        np.matmul(c.reshape(-1, g_phi), self._at_t, out=work.z.reshape(-1, nt))
+        np.matmul(self._at_conj, work.z, out=work.s)  # U_d^T = conj(A_t) T_d A_t^T
+        np.matmul(self._w_conj, work.s.reshape(g_tau, nt * nt), out=work.y.reshape(k, nt * nt))
+        # s1_k = y_k^T, and s1_k^H X_k = conj(y_k conj(X_k)).
+        vgrad = np.matmul(work.y.transpose(0, 2, 1), blocks)
+        np.matmul(work.y, work.xc, out=work.xv)
+        vgrad += np.conjugate(work.xv, out=work.xv)
         return float(v_p ** (1.0 / p)), v_p, vgrad
 
 
 def _omega_gram_rows(design: PilotDesign, dicts: DictionarySet) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalized Omega Gram rows ``c_d`` on the allocated subcarriers, and their multiplicities.
 
-    One ``gram_tensor`` call on all K subcarriers, with the blocks outside the
-    allocation zeroed (they add nothing), so the uniform-grid check keeps the
-    full grid's tolerance. Returns the (G_tau, G_phi, G_phi) rows and the
-    engine's pair multiplicities.
+    Sums the allocated blocks alone, with their columns of the all-K
+    engine's delay weights, so the uniform-grid check keeps the full grid's
+    tolerance. Returns the (G_tau, G_phi, G_phi) rows and the engine's pair
+    multiplicities.
     """
-    blocks = np.where(_allocation_mask(design, dicts)[:, None, None], design.blocks, 0)
+    sel = _allocation_mask(design, dicts)
     engine = CoherenceEngine(dicts)
-    c = engine.gram_tensor(blocks).reshape(engine.g_tau, engine.g_phi, engine.g_phi)
-    return c, engine._mult
+    return engine._rows(design.blocks[sel], engine._w_t[:, sel]), engine._mult
 
 
 def _column_norms(rows: np.ndarray, a_r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

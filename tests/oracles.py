@@ -12,6 +12,8 @@ dictionary coherence from its dense Gram, the flat grid index of a
 (delay, AoD, AoA) tuple, the channel of a virtual-gain vector and of a
 path realization as sums of Kronecker (Khatri-Rao) columns. ``f_omega``
 is the engine's objective value alone, for tests that need no gradient.
+``reference_optimize`` is the design loop with an out-of-place Adam step,
+which the library's in-place loop must match bit for bit.
 ``median_difference_ci`` is the paired bootstrap interval the end-to-end
 acceptance criterion is judged by. ``write_csv_rows`` is the row-wise
 ``csv.writer`` route the column-wise CSV writer must match byte for byte.
@@ -24,12 +26,15 @@ import numpy as np
 
 from pilotopt import (
     CoherenceEngine,
+    OptimizationTrace,
     PilotDesign,
     SparseEstimate,
     delay_response,
+    extract_allocation,
     steering_vector,
 )
 from pilotopt.coherence import DENSE_ENTRY_CAP
+from pilotopt.optimizer import _gradient
 
 
 class CapacityError(RuntimeError):
@@ -224,6 +229,30 @@ def full_gram_value_and_vgrad(blocks, dicts, p):
     s1 = np.matmul(np.matmul(a_t, f_kphi.transpose(0, 2, 1)), a_t.conj().T)
     vgrad = np.matmul(s1 + s1.conj().transpose(0, 2, 1), blocks)
     return float(v_p ** (1.0 / p)), v_p, vgrad
+
+
+def reference_optimize(initial_blocks, dicts, cfg, total_power, trace_every=1):
+    """``optimize`` with each Adam update written out of place, as in its formulas."""
+    x = np.array(initial_blocks, dtype=complex)
+    engine = CoherenceEngine(dicts)
+    m = np.zeros_like(x)
+    v = np.zeros(x.shape)
+    records = []
+    for t in range(cfg.iterations + 1):
+        grad, loss_val, f_term, g_term = _gradient(x, engine, cfg)
+        if t % trace_every == 0 or t >= cfg.iterations - 1:
+            records.append((t, loss_val, f_term, g_term, float(np.linalg.norm(grad))))
+        if t == cfg.iterations:
+            break
+        m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
+        v = cfg.beta2 * v + (1.0 - cfg.beta2) * np.abs(grad) ** 2
+        m_hat = m / (1.0 - cfg.beta1 ** (t + 1))
+        v_hat = v / (1.0 - cfg.beta2 ** (t + 1))
+        x = x - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    scaled = np.sqrt(total_power) / float(np.linalg.norm(x)) * x
+    design = extract_allocation(scaled, cfg.zero_threshold_rel, total_power)
+    trace = OptimizationTrace(*(np.asarray(column) for column in zip(*records)))
+    return design, trace
 
 
 def t_p_dictionary(a_r, p):

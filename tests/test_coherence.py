@@ -207,6 +207,40 @@ class TestCoherenceEngine:
         blocks[1::4] = 0.0
         self.assert_matches_oracle(blocks, dicts, ps=(4,))
 
+    def test_paper_call_allocates_only_the_gradient(self):
+        # Stands in for a timing gate: the work buffers are made by the first
+        # call, so the next one may allocate little beyond the returned gradient.
+        dicts, blocks = _profile_blocks("paper", 4)
+        engine = CoherenceEngine(dicts)
+        engine.f_value_and_vgrad(blocks, 4)
+        tracemalloc.start()
+        try:
+            _, _, vgrad = engine.f_value_and_vgrad(blocks, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * vgrad.nbytes
+
+    def test_results_are_not_work_buffers(self):
+        dicts, blocks = _profile_blocks("desk", 5)
+        other = gaussian_init(*blocks.shape, 6)
+        engine = CoherenceEngine(dicts)
+        rows = engine.gram_tensor(blocks)
+        f, v_p, vgrad = engine.f_value_and_vgrad(blocks, 4)
+        kept = rows.copy(), vgrad.copy()
+        engine.f_value_and_vgrad(other, 4)
+        engine.gram_tensor(other)
+        engine.f_value_and_vgrad(other[:, :, :2], 4)  # another shape: new buffers
+        np.testing.assert_array_equal(rows, kept[0])
+        np.testing.assert_array_equal(vgrad, kept[1])
+        # Repeated calls, and a second engine, give bitwise-equal results.
+        for result in (engine.f_value_and_vgrad(blocks, 4),
+                       CoherenceEngine(dicts).f_value_and_vgrad(blocks, 4)):
+            assert result[:2] == (f, v_p)
+            np.testing.assert_array_equal(result[2], vgrad)
+        np.testing.assert_array_equal(engine.gram_tensor(blocks), rows)
+        np.testing.assert_array_equal(CoherenceEngine(dicts).gram_tensor(blocks), rows)
+
     def test_rows_are_delay_differences(self):
         _, spec, dicts, blocks = small_setup(9)
         rows = CoherenceEngine(dicts).gram_tensor(blocks)
@@ -533,6 +567,21 @@ class TestCoherenceReport:
         np.testing.assert_allclose(
             report.column_norm_cdf, report.column_norm_cdf[0], rtol=1e-12
         )
+
+    def test_near_zero_column_keeps_inner_products_at_most_one(self):
+        # Zero-mean pilot columns null the broadside Omega column up to
+        # rounding. Rows wrapped in antenna space carry rounding relative to
+        # the largest column and put this column's normalized products near
+        # 1.1; explicit column products keep them within Cauchy-Schwarz.
+        cfg = load_experiment_config("desk")
+        dicts = build_dictionaries(cfg.grids, cfg.system)
+        design = make_baseline_design(cfg, 6, 1)
+        blocks = design.blocks - design.blocks.mean(axis=1, keepdims=True)
+        blocks[[k for k in range(blocks.shape[0]) if k not in design.allocation]] = 0.0
+        design = replace(design, blocks=blocks)
+        report = coherence_report(design, dicts, 4)
+        assert report.column_norm_cdf[0] < 1e-12 * report.column_norm_cdf[-1]
+        assert report.inner_product_cdf[-1] <= 1.0 + 1e-12
 
     def test_report_fields_and_welch_inequality(self):
         cfg = load_experiment_config("desk")

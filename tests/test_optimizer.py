@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,12 +14,13 @@ from pilotopt import (
     build_dictionaries,
     extract_allocation,
     gaussian_init,
+    load_experiment_config,
     loss,
     loss_gradient,
     optimize,
 )
 
-from oracles import f_omega
+from oracles import f_omega, reference_optimize
 
 
 def small_setup(seed=0):
@@ -190,6 +193,24 @@ class TestOptimize:
         cfg = OptimizerConfig(iterations=100, lambda_bar=0.5)
         _, trace = optimize(x0, dicts, cfg, 64.0, trace_every=30)
         assert trace.iterations.tolist() == [0, 30, 60, 90, 99, 100]
+
+
+class TestInPlaceAdam:
+    @pytest.mark.parametrize("trace_every, zeroed", [(1, False), (7, False), (1, True)])
+    def test_desk_matches_out_of_place_oracle_bitwise(self, trace_every, zeroed):
+        cfg = load_experiment_config("desk")
+        dicts = build_dictionaries(cfg.grids, cfg.system)
+        s = cfg.system
+        x0 = gaussian_init(s.num_subcarriers, s.num_tx, s.seq_len, 5)
+        if zeroed:
+            x0[::3] = 0.0
+        opt = replace(cfg.optimizer, iterations=300, lambda_bar=1.5)
+        design, trace = optimize(x0, dicts, opt, s.total_power, trace_every=trace_every)
+        ref_design, ref_trace = reference_optimize(x0, dicts, opt, s.total_power, trace_every)
+        np.testing.assert_array_equal(design.blocks, ref_design.blocks)
+        assert design.allocation == ref_design.allocation
+        for name in ("iterations", "loss", "f_term", "g_term", "grad_norm"):
+            np.testing.assert_array_equal(getattr(trace, name), getattr(ref_trace, name))
 
 
 class TestExtractAllocation:
