@@ -18,9 +18,12 @@ gradient and the coherence report read only the rows ``d = 0..G_tau-1`` of
 the (G_tau^2, G_phi^2) tensor of these products: row ``d`` recurs
 ``G_tau - |d|`` times and ``d < 0`` is the Hermitian transpose of ``-d``.
 
-The design loop's engine sums these rows in (Nt, Nt) antenna space, in
-buffers made once per shape; the rows that leave it sum explicit column
-products over the allocated subcarriers (see ``CoherenceEngine``).
+The weights ``w_d[k] = conj(b_k[d]) b_k[0]`` come from the dictionary set,
+which checks the grid once (``DictionarySet.delay_weights``). The design
+loop's engine sums the rows in (Nt, Nt) antenna space; everywhere else
+``build_sensing_matrix`` sums them from explicit column products over the
+allocated subcarriers, and the report and ``mutual_coherence`` read them
+off its operator.
 """
 
 from __future__ import annotations
@@ -110,7 +113,10 @@ class SensingOperator:
     never formed. ``gram_rows`` are the unnormalized delay-difference rows
     ``c_d`` (G_tau, G_phi, G_phi) of the Omega Gram; with ``ar_gram = A_r^H
     A_r`` they give ``Psi^H Psi = (Omega^H Omega) kron ar_gram`` column by
-    column. Construction refuses a zero column of either factor.
+    column. ``omega_norms`` (one per g_phi, since ``|b_k| = 1``) and
+    ``ar_norms`` are the factors' column norms. Construction refuses a zero
+    column of either factor: its normalized inner products are undefined,
+    and OMP could never select it.
     """
 
     def __init__(self, r: np.ndarray, b_sel: np.ndarray, a_r: np.ndarray, gram_rows: np.ndarray):
@@ -119,8 +125,13 @@ class SensingOperator:
         self.a_r = a_r  # (Nr, G_theta)
         self.gram_rows = gram_rows
         self.ar_gram = a_r.conj().T @ a_r
-        omega_norms, ar_norms = _column_norms(gram_rows, a_r)
-        self._col_norms = np.kron(np.tile(omega_norms, b_sel.shape[1]), ar_norms)
+        self.omega_norms = np.sqrt(gram_rows[0].diagonal().real)
+        self.ar_norms = np.linalg.norm(a_r, axis=0)
+        for n, what in ((self.omega_norms, "the pilot factor"), (self.ar_norms, "the AoA dictionary")):
+            zero = np.flatnonzero(n == 0)
+            if zero.size:
+                raise DegenerateInputError(f"column {int(zero[0])} of {what} has zero norm")
+        self._col_norms = np.kron(np.tile(self.omega_norms, b_sel.shape[1]), self.ar_norms)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -167,24 +178,33 @@ class SensingOperator:
         return np.subtract(alpha0, corr, out=corr)
 
 
-def _allocation_mask(design: PilotDesign, dicts: DictionarySet) -> np.ndarray:
-    """Boolean mask of the allocated subcarriers, after the shared input checks."""
-    if not design.allocation:
-        raise ValueError("design has an empty allocation")
-    if design.blocks.shape[:2] != (dicts.num_subcarriers, dicts.num_tx):
-        raise ValueError("design dimensions do not match the dictionaries")
-    return np.isin(np.arange(dicts.num_subcarriers), design.allocation)
+def _gram_rows(r: np.ndarray, w_t: np.ndarray) -> np.ndarray:
+    """Rows ``c_d = sum_k w_t[d, k] conj(r_k) r_k^T`` (G_tau, G_phi, G_phi) from explicit columns ``r_k``."""
+    q, g_phi, _ = r.shape
+    p_mat = np.matmul(r.conj(), r.transpose(0, 2, 1))  # (Q, G_phi, G_phi)
+    return (w_t @ p_mat.reshape(q, g_phi * g_phi)).reshape(-1, g_phi, g_phi)
+
+
+def _pair_multiplicity(g_tau: int) -> np.ndarray:
+    """Gram rows equal to ``c_d`` or ``c_-d``: G_tau for d = 0, 2 (G_tau - d) above."""
+    return (2.0 - (np.arange(g_tau) == 0)) * (g_tau - np.arange(g_tau))
 
 
 def build_sensing_matrix(design: PilotDesign, dicts: DictionarySet) -> SensingOperator:
     """Assemble the factored sensing operator on the allocated subcarriers.
 
-    Raises ``DegenerateInputError`` for a zero column of the pilot factor or
-    of ``A_r``, by the same check and message as the coherence report.
+    The one builder of a design's Omega factor outside the design loop: it
+    sums the allocated blocks with their columns of the all-K delay weights.
+    Raises ``ValueError`` for bad inputs or a non-uniform delay grid, and
+    ``DegenerateInputError`` for a zero column of either factor.
     """
-    sel = _allocation_mask(design, dicts)
-    rows, _ = _omega_gram_rows(design, dicts)
+    if not design.allocation:
+        raise ValueError("design has an empty allocation")
+    if design.blocks.shape[:2] != (dicts.num_subcarriers, dicts.num_tx):
+        raise ValueError("design dimensions do not match the dictionaries")
+    sel = np.isin(np.arange(dicts.num_subcarriers), design.allocation)
     r = np.matmul(dicts.a_t.conj().T[None, :, :], design.blocks[sel])  # (Q, G_phi, M)
+    rows = _gram_rows(r, dicts.delay_weights.T[:, sel])
     return SensingOperator(r=r, b_sel=dicts.b[sel], a_r=dicts.a_r, gram_rows=rows)
 
 
@@ -200,62 +220,47 @@ def _arena(**specs: tuple[tuple[int, ...], type]) -> SimpleNamespace:
 
 
 class CoherenceEngine:
-    """Coherence objective and gradient from the delay-difference Gram rows.
+    """Coherence objective and gradient of the design loop, from the delay-difference Gram rows.
 
-    The delay grid is uniform, so the weight ``W[k, a, b] = conj(b_k[a]) *
-    b_k[b]`` depends on ``d = a - b`` alone and the (G_tau^2, G_phi^2) Omega
-    Gram holds only the rows ``c_d = sum_k w_d[k] P_k``, ``w_d[k] = W[k, d,
-    0]``. Row ``d`` recurs ``G_tau - |d|`` times and ``c_{-d} = c_d^H``, so
-    only ``d >= 0`` is built. Construction refuses a dictionary whose ``W``
-    is not Toeplitz in ``(a, b)``.
+    The (G_tau^2, G_phi^2) Omega Gram holds only the rows ``c_d = sum_k
+    w_d[k] P_k`` with the dictionary set's ``delay_weights`` ``w_d``, whose
+    uniform-grid check it relies on (construction raises its ``ValueError``).
+    Row ``d`` recurs ``G_tau - |d|`` times and ``c_{-d} = c_d^H``, so only
+    ``d >= 0`` is built.
 
-    ``gram_tensor`` sums ``P_k = conj(r_k) r_k^T``, the inner products of
-    explicit Omega columns, so its diagonal holds their squared norms and
-    is never negative.
-    ``f_value_and_vgrad`` sums in antenna space instead: ``P_k = A_t^T
-    conj(X_k) X_k^T conj(A_t)``, so ``c_d = A_t^T S_d conj(A_t)`` with the
-    (Nt, Nt) matrices ``S_d = sum_k w_d[k] conj(X_k) X_k^T``, one AoD wrap
-    per delay difference. Its rows stay inside: their rounding is relative
-    to the largest column, which a near-zero column's normalized inner
-    products would not survive. It writes every intermediate into views of
+    ``f_value_and_vgrad`` sums in antenna space: ``P_k = A_t^T conj(X_k)
+    X_k^T conj(A_t)``, so ``c_d = A_t^T S_d conj(A_t)`` with the (Nt, Nt)
+    matrices ``S_d = sum_k w_d[k] conj(X_k) X_k^T``, one AoD wrap per delay
+    difference. Its rows stay inside: their rounding is relative to the
+    largest column, which a near-zero column's normalized inner products
+    would not survive, so the rows that leave the design loop come from
+    ``build_sensing_matrix`` instead. It writes every intermediate into views of
     one allocation, made once per blocks shape, so an engine must not be
     shared between threads. No result is ever such a view: ``gram_tensor``
     and the returned gradient are fresh arrays that later calls leave alone.
     """
 
     def __init__(self, dicts: DictionarySet):
-        self.dicts = dicts
         self.g_tau = dicts.b.shape[1]
         self.g_phi = dicts.a_t.shape[1]
-        w = dicts.b.conj()[:, :, None] * dicts.b[:, None, :]  # (K, G_tau, G_tau)
-        self._w_d = w[:, :, 0].copy()  # (K, G_tau)
-        d = np.subtract.outer(np.arange(self.g_tau), np.arange(self.g_tau))
-        lag = self._w_d[:, np.abs(d)]
-        # Delay phases reach about pi * K radians (at most K taps), and their
-        # roundoff grows with them: 1e-12 alone refuses uniform grids from K ~ 1500.
-        tol = max(1e-12, 16 * np.finfo(float).eps * dicts.num_subcarriers)
-        if np.max(np.abs(w - np.where(d >= 0, lag, lag.conj())), initial=0.0) > tol:
-            raise ValueError("delay dictionary is not on a uniform grid (W is not Toeplitz)")
-        # Multiplicity of the pair {c_d, c_-d}: G_tau for d = 0, 2 (G_tau - d) above.
-        self._mult = 2.0 * (self.g_tau - np.arange(self.g_tau))
-        self._mult[0] = self.g_tau
-        self._w_t = self._w_d.T.copy()  # (G_tau, K)
-        self._w_conj = self._w_d.conj()  # (K, G_tau)
+        self._mult = _pair_multiplicity(self.g_tau)
+        self._w_t = dicts.delay_weights.T.copy()  # (G_tau, K)
+        self._w_conj = dicts.delay_weights.conj()  # (K, G_tau)
         self._at_h = dicts.a_t.conj().T  # (G_phi, Nt)
         self._at_t = dicts.a_t.T.copy()  # (G_phi, Nt)
         self._at_conj = dicts.a_t.conj()  # (Nt, G_phi)
         self._work = None
 
-    def _rows(self, blocks: np.ndarray, w_t: np.ndarray) -> np.ndarray:
-        """Fresh rows ``c_d`` (G_tau, G_phi, G_phi) over ``blocks``, weighted by ``w_t`` (G_tau, len(blocks))."""
-        r = np.matmul(self._at_h[None, :, :], blocks)  # (K, G_phi, M)
-        p_mat = np.matmul(r.conj(), r.transpose(0, 2, 1))  # (K, G_phi, G_phi)
-        rows = w_t @ p_mat.reshape(blocks.shape[0], self.g_phi * self.g_phi)
-        return rows.reshape(self.g_tau, self.g_phi, self.g_phi)
-
     def gram_tensor(self, blocks: np.ndarray) -> np.ndarray:
-        """Delay-difference rows ``c_d``, d = 0..G_tau-1, as a fresh (G_tau, G_phi^2) matrix."""
-        return self._rows(blocks, self._w_t).reshape(self.g_tau, -1)
+        """Delay-difference rows ``c_d``, d = 0..G_tau-1, as a fresh (G_tau, G_phi^2) matrix.
+
+        Sums explicit column products (``_gram_rows``) over all K blocks, so
+        its diagonal holds squared column norms and is never negative. No
+        command calls it; it stays as the benchmark's ``coherence.gram``
+        span until the benchmark wraps ``_gram_rows`` instead.
+        """
+        r = np.matmul(self._at_h[None, :, :], blocks)  # (K, G_phi, M)
+        return _gram_rows(r, self._w_t).reshape(self.g_tau, -1)
 
     def _buffers(self, shape: tuple[int, ...]) -> SimpleNamespace:
         """The work arena for pilot blocks of ``shape``, rebuilt when the shape changes."""
@@ -316,61 +321,28 @@ class CoherenceEngine:
         return float(v_p ** (1.0 / p)), v_p, vgrad
 
 
-def _omega_gram_rows(design: PilotDesign, dicts: DictionarySet) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized Omega Gram rows ``c_d`` on the allocated subcarriers, and their multiplicities.
+def _normalized_rows(design: PilotDesign, dicts: DictionarySet) -> tuple:
+    """Normalized Gram rows of both factors of the design's sensing operator, diagonals zeroed.
 
-    Sums the allocated blocks alone, with their columns of the all-K
-    engine's delay weights, so the uniform-grid check keeps the full grid's
-    tolerance. Returns the (G_tau, G_phi, G_phi) rows and the engine's pair
-    multiplicities.
+    Returns ``(rows, ar_gram, top, n)``: ``rows[d] = |c_d| / (n n^T)``, shape
+    (G_tau, G_phi, G_phi), for the Omega column norms ``n``; the normalized
+    A_r Gram; the largest entry of either, which is the largest
+    off-diagonal normalized Gram entry of ``Omega kron A_r``. Omega Gram
+    entry ``((a, f), (b, f'))`` has magnitude ``rows[a - b, f, f']`` for ``a
+    >= b`` and ``rows[b - a, f', f]`` otherwise. The diagonals are exactly 1
+    by definition; zeroing them keeps their rounding out of every power.
     """
-    sel = _allocation_mask(design, dicts)
-    engine = CoherenceEngine(dicts)
-    return engine._rows(design.blocks[sel], engine._w_t[:, sel]), engine._mult
-
-
-def _column_norms(rows: np.ndarray, a_r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Omega column norms ``sqrt(diag c_0)``, one per g_phi since ``|b_k| = 1``, and A_r's.
-
-    Refuses a zero column of either factor: its normalized inner products
-    are undefined, and OMP could never select it.
-    """
-    norms = np.sqrt(rows[0].diagonal().real)
-    ar_norms = np.linalg.norm(a_r, axis=0)
-    for n, what in ((norms, "the pilot factor"), (ar_norms, "the AoA dictionary")):
-        zero = np.flatnonzero(n == 0)
-        if zero.size:
-            raise DegenerateInputError(f"column {int(zero[0])} of {what} has zero norm")
-    return norms, ar_norms
-
-
-def _normalized_rows(design: PilotDesign, dicts: DictionarySet) -> tuple[np.ndarray, ...]:
-    """Normalized Gram rows of both factors of ``Psi`` on the allocated subcarriers.
-
-    Returns ``(rows, n, ar_gram, mult)``: ``rows[d] = |c_d| / (n n^T)``, shape
-    (G_tau, G_phi, G_phi); the Omega column norms ``n``; the normalized A_r
-    Gram; the engine's pair multiplicities. Omega Gram entry ``((a, f), (b,
-    f'))`` has magnitude ``rows[a - b, f, f']`` for ``a >= b`` and ``rows[b -
-    a, f', f]`` otherwise.
-    """
-    c, mult = _omega_gram_rows(design, dicts)
-    norms, ar_norms = _column_norms(c, dicts.a_r)
-    ar_gram = np.abs(dicts.a_r.conj().T @ dicts.a_r) / np.outer(ar_norms, ar_norms)
-    return np.abs(c) / np.outer(norms, norms), norms, ar_gram, mult
-
-
-def _kron_mu(rows: np.ndarray, ar_gram: np.ndarray) -> float:
-    """Largest off-diagonal normalized Gram entry of ``Omega kron A_r``: the factors' larger."""
-    rows, ar_gram = rows.copy(), ar_gram.copy()
+    op = build_sensing_matrix(design, dicts)
+    rows = np.abs(op.gram_rows) / np.outer(op.omega_norms, op.omega_norms)
+    ar_gram = np.abs(op.ar_gram) / np.outer(op.ar_norms, op.ar_norms)
     np.fill_diagonal(rows[0], 0.0)
     np.fill_diagonal(ar_gram, 0.0)
-    return min(max(float(rows.max()), float(ar_gram.max())), 1.0)
+    return rows, ar_gram, max(float(rows.max()), float(ar_gram.max())), op.omega_norms
 
 
 def mutual_coherence(design: PilotDesign, dicts: DictionarySet) -> float:
-    """Largest normalized inner product of distinct ``Psi`` columns, from the engine's rows."""
-    rows, _, ar_gram, _ = _normalized_rows(design, dicts)
-    return _kron_mu(rows, ar_gram)
+    """Largest normalized inner product of distinct ``Psi`` columns, from the sensing operator's rows."""
+    return min(_normalized_rows(design, dicts)[2], 1.0)
 
 
 def welch_bound(n_obs: int, n_atoms: int) -> float:
@@ -425,20 +397,27 @@ def _sampled_pair_values(rows: np.ndarray) -> np.ndarray:
 def coherence_report(design: PilotDesign, dicts: DictionarySet, p: int) -> CoherenceReport:
     """Evaluate a design: sensing-matrix metrics plus Omega CDF samples.
 
-    Everything comes from the normalized delay-difference rows: ``mu`` and
-    ``nu_p`` through the Kronecker split, and, when the Omega Gram has at most
-    DENSE_ENTRY_CAP entries, the CDF over all its off-diagonal column pairs
-    (row ``d`` recurs ``G_tau - d`` times); larger factors get a seeded
-    uniform subsample of ``PAIR_SUBSAMPLE_SIZE`` pairs instead.
+    Everything comes from the sensing operator's normalized delay-difference
+    rows: ``mu`` and ``nu_p`` through the Kronecker split, and, when the Omega
+    Gram has at most DENSE_ENTRY_CAP entries, the CDF over all its
+    off-diagonal column pairs (row ``d`` recurs ``G_tau - d`` times); larger
+    factors get a seeded uniform subsample of ``PAIR_SUBSAMPLE_SIZE`` pairs
+    instead.
+
+    ``nu_p`` sums off-diagonal pairs alone: ``nu_p^p = O A + O G + N A`` for
+    the factors' off-diagonal power sums ``O`` and ``A`` over ``N`` and ``G``
+    columns, each over entries divided by the largest, so no power overflows.
     """
     _require_even_p(p)
-    rows, norms, ar_gram, mult = _normalized_rows(design, dicts)
+    rows, ar_gram, top, norms = _normalized_rows(design, dicts)
+    mu = min(top, 1.0)
     g_tau, g_phi, _ = rows.shape
     n_cols = g_tau * g_phi
     n_obs = dicts.num_rx * design.seq_len * len(design.allocation)
     n_atoms = n_cols * ar_gram.shape[0]
-    # Each factor's power sum covers all pairs, diagonal included.
-    power_sum = float(mult @ np.sum(rows**p, axis=(1, 2))) * float(np.sum(ar_gram**p))
+    o_sum = float(_pair_multiplicity(g_tau) @ np.sum((rows / top) ** p, axis=(1, 2)))
+    a_sum = float(np.sum((ar_gram / top) ** p))
+    nu_scaled = o_sum * a_sum * mu**p + o_sum * ar_gram.shape[0] + n_cols * a_sum
     if n_cols * n_cols <= DENSE_ENTRY_CAP:
         upper = rows[0][np.triu_indices(g_phi, k=1)]
         inner = np.repeat(rows[1:], g_tau - np.arange(1, g_tau), axis=0).ravel()
@@ -446,9 +425,8 @@ def coherence_report(design: PilotDesign, dicts: DictionarySet, p: int) -> Coher
     else:
         inner = _sampled_pair_values(rows)
     return CoherenceReport(
-        mutual_coherence=_kron_mu(rows, ar_gram),
-        # The n_atoms diagonal entries of a normalized Gram are exactly 1.
-        generalized=float(max(power_sum - n_atoms, 0.0) ** (1.0 / p)),
+        mutual_coherence=mu,
+        generalized=float(top * nu_scaled ** (1.0 / p)),
         p=p,
         welch=welch_bound(n_obs, n_atoms),
         n_obs=n_obs,

@@ -10,6 +10,7 @@ inverts it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +71,27 @@ class DictionarySet:
     @property
     def num_subcarriers(self) -> int:
         return self.b.shape[0]
+
+    @cached_property
+    def delay_weights(self) -> np.ndarray:
+        """Read-only (K, G_tau) delay-difference weights ``w_d[k] = conj(b_k[d]) b_k[0]``.
+
+        The Omega Gram weights ``W[k, a, b] = conj(b_k[a]) b_k[b]`` of a
+        uniform delay grid depend on ``d = a - b`` alone, so these columns
+        hold all of them; computed once per dictionary set, which refuses a
+        grid whose ``W`` is not Toeplitz in ``(a, b)``.
+        """
+        w = self.b.conj()[:, :, None] * self.b[:, None, :]  # (K, G_tau, G_tau)
+        w_d = w[:, :, 0].copy()
+        d = np.subtract.outer(np.arange(w.shape[1]), np.arange(w.shape[1]))
+        lag = w_d[:, np.abs(d)]
+        # Delay phases reach about pi * K radians (at most K taps), and their
+        # roundoff grows with them: 1e-12 alone refuses uniform grids from K ~ 1500.
+        tol = max(1e-12, 16 * np.finfo(float).eps * self.num_subcarriers)
+        if np.max(np.abs(w - np.where(d >= 0, lag, lag.conj())), initial=0.0) > tol:
+            raise ValueError("delay dictionary is not on a uniform grid (W is not Toeplitz)")
+        w_d.flags.writeable = False
+        return w_d
 
 
 def make_grids(

@@ -257,11 +257,19 @@ class TestCoherenceEngine:
                 np.testing.assert_allclose(full[a * g_tau + b], expected, rtol=0, atol=1e-13 * scale)
 
     def test_non_uniform_delay_grid_rejected(self):
-        cfg, _, dicts, _ = small_setup()
+        cfg, _, dicts, blocks = small_setup()
         tau = cfg.max_delay_s * np.array([0.0, 0.1, 0.5, 1.0])
         b = np.stack([delay_response(t, cfg) for t in tau], axis=1)
-        with pytest.raises(ValueError, match="uniform"):
-            CoherenceEngine(replace(dicts, tau_grid=tau, b=b))
+        bad = replace(dicts, tau_grid=tau, b=b)
+        design = PilotDesign(blocks=blocks, allocation=tuple(range(8)), total_power=1.0)
+        for consumer in (
+            CoherenceEngine,
+            lambda d: build_sensing_matrix(design, d),
+            lambda d: coherence_report(design, d, 4),
+            lambda d: mutual_coherence(design, d),
+        ):
+            with pytest.raises(ValueError, match="uniform"):
+                consumer(bad)
 
     def test_wide_band_uniform_grid_accepted(self):
         # 4096 taps put delay phases near 4096 * pi, where the Toeplitz
@@ -418,6 +426,28 @@ class TestScalarCoherenceMetrics:
 
 
 class TestSensingOperator:
+    def test_only_builder_outside_the_design_loop(self, monkeypatch):
+        # The sensing build, the report and mutual_coherence share one
+        # builder and never construct the design loop's engine; the
+        # uniform-grid check runs once per dictionary set.
+        cfg = load_experiment_config("desk")
+        dicts = build_dictionaries(cfg.grids, cfg.system)
+        design = make_baseline_design(cfg, 4, 0)
+
+        def refuse(self, dicts):
+            raise AssertionError("CoherenceEngine built outside the design loop")
+
+        monkeypatch.setattr(CoherenceEngine, "__init__", refuse)
+        op = build_sensing_matrix(design, dicts)
+        report = coherence_report(design, dicts, 4)
+        assert mutual_coherence(design, dicts) == report.mutual_coherence
+        assert (report.n_obs, report.n_atoms) == op.shape
+        weights = dicts.delay_weights
+        assert dicts.delay_weights is weights
+        assert not weights.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            weights[0, 0] = 0.0
+
     def test_structured_equals_dense(self):
         _, spec, dicts, blocks = small_setup(11)
         design = PilotDesign(
@@ -614,6 +644,19 @@ class TestCoherenceReport:
                     dense_mutual_coherence(psi), abs=1e-12
                 )
                 assert report.mutual_coherence == mutual_coherence(design, dicts)
+
+    def test_generalized_excludes_the_diagonal_at_large_p(self):
+        # The normalized diagonals are 1 only up to rounding, which a large
+        # power would carry into nu_p; nu_p sums the off-diagonal pairs alone.
+        _, _, dicts, blocks = small_setup(19)
+        design = PilotDesign(blocks=blocks, allocation=tuple(range(8)), total_power=1.0)
+        report = coherence_report(design, dicts, 1000)
+        assert report.generalized == pytest.approx(
+            dense_generalized_coherence(dense_psi(design, dicts), 1000), rel=1e-9
+        )
+        huge = coherence_report(design, dicts, 2**64)
+        assert np.isfinite(huge.generalized)
+        assert huge.mutual_coherence <= huge.generalized
 
     def test_cdf_holds_every_off_diagonal_omega_pair(self):
         _, _, dicts, blocks = small_setup(20)
