@@ -117,6 +117,12 @@ class SensingOperator:
     ``ar_norms`` are the factors' column norms. Construction refuses a zero
     column of either factor: its normalized inner products are undefined,
     and OMP could never select it.
+
+    OMP reads the Gram normalized by the output column: ``gram_column`` and
+    the A_r Gram rows are divided by the norms of the columns they
+    correlate with, so ``residual_correlations`` yields ``Psi^H r`` divided
+    by the column norms. The operator holds no per-solve state, so
+    concurrent solves may share it.
     """
 
     def __init__(self, r: np.ndarray, b_sel: np.ndarray, a_r: np.ndarray, gram_rows: np.ndarray):
@@ -132,6 +138,8 @@ class SensingOperator:
             if zero.size:
                 raise DegenerateInputError(f"column {int(zero[0])} of {what} has zero norm")
         self._col_norms = np.kron(np.tile(self.omega_norms, b_sel.shape[1]), self.ar_norms)
+        self._inv_omega_norms = 1.0 / self.omega_norms
+        self._ar_rows = (self.ar_gram / self.ar_norms[:, None]).T  # row i: A_r Gram column i, normalized
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -157,25 +165,35 @@ class SensingOperator:
         """Norms of all columns: ``||omega_j||_2 * ||a_r,i||_2``, per the Kronecker split."""
         return self._col_norms
 
-    def residual_correlations(
-        self, alpha0: np.ndarray, atoms: list[int], gains: np.ndarray
-    ) -> np.ndarray:
-        """``Psi^H (y - Psi[:, atoms] @ gains)`` from ``alpha0 = Psi^H y``, through the Gram.
+    def gram_column(self, g: int, out: np.ndarray) -> None:
+        """Write atom ``g``'s Omega Gram column, over the Omega column norms, into ``out`` (G_tau, G_phi).
 
         Omega Gram entry ``((a, f), (b, f'))`` is ``c_{a-b}[f, f']`` for ``a >= b``
-        and ``conj(c_{b-a}[f', f])`` otherwise, so each atom's Omega Gram
-        column is two slices of the rows. The update stays factored: the
-        (G_tau G_phi, |S|) Omega Gram columns scaled by the gains, times the
-        atoms' (|S|, G_theta) A_r Gram rows.
+        and ``conj(c_{b-a}[f', f])`` otherwise, so the column is two slices of
+        the rows; row ``(a, f)`` is then divided by ``omega_norms[f]``.
         """
-        g_tau, g_phi, _ = self.gram_rows.shape
-        j, i = np.divmod(np.asarray(atoms), self.a_r.shape[1])
-        og = np.empty((len(atoms), g_tau, g_phi), dtype=complex)
-        for s, (t, f) in enumerate(zip(*np.divmod(j, g_phi))):
-            og[s, :t] = self.gram_rows[t:0:-1, f, :].conj()
-            og[s, t:] = self.gram_rows[: g_tau - t, :, f]
-        corr = (og.reshape(len(atoms), -1).T @ (gains[:, None] * self.ar_gram[:, i].T)).ravel()
-        return np.subtract(alpha0, corr, out=corr)
+        t, f = divmod(int(g) // self.a_r.shape[1], self.r.shape[1])
+        np.multiply(self.gram_rows[t:0:-1, f, :].conj(), self._inv_omega_norms, out=out[:t])
+        np.multiply(self.gram_rows[: len(self.gram_rows) - t, :, f], self._inv_omega_norms, out=out[t:])
+
+    def residual_correlations(
+        self, alpha0: np.ndarray, omega_gram: np.ndarray, atoms: list[int], gains: np.ndarray,
+        out: np.ndarray,
+    ) -> np.ndarray:
+        """Normalized ``Psi^H (y - Psi[:, atoms] @ gains)`` into ``out``, through the Gram.
+
+        ``alpha0`` is ``Psi^H y`` over the column norms and ``omega_gram``
+        (G_tau G_phi, >= |S|) holds the atoms' ``gram_column``s in its first
+        ``|S|`` columns. The update stays factored, ``omega_gram diag(gains)
+        A_S`` with the atoms' normalized (|S|, G_theta) A_r Gram rows, as one
+        real product on interleaved float views: the (|S|, 2 G_theta) right
+        factor ``R`` becomes ``[R; iR]`` interleaved by row.
+        """
+        n, g_theta = len(atoms), self.a_r.shape[1]
+        right = gains[:, None] * self._ar_rows[np.asarray(atoms) % g_theta]
+        right = np.stack([right, 1j * right], axis=1).view(float).reshape(2 * n, 2 * g_theta)
+        np.matmul(omega_gram[:, :n].view(float), right, out=out.reshape(-1, g_theta).view(float))
+        return np.subtract(alpha0, out, out=out)
 
 
 def _gram_rows(r: np.ndarray, w_t: np.ndarray) -> np.ndarray:
@@ -291,6 +309,12 @@ class CoherenceEngine:
         antenna space once per delay difference, ``U_d = A_t T_d^T A_t^H``, so
         ``s1_k = sum_d conj(w_d[k]) U_d`` and the gradient is ``(s1_k +
         s1_k^H) X_k``. Only the returned gradient is allocated.
+
+        When the largest ``|c|^p`` lies outside ``2^(+-512)``, the powers
+        are taken over the largest ``|c|^2``, so ``v_p`` and the gradient
+        come back divided by its ``p/2``-th power while ``f`` and ``vgrad /
+        v_p``, all the optimizer reads, keep their values; below that the
+        sums are unscaled.
         """
         _require_even_p(p)
         k, nt, _ = blocks.shape
@@ -305,10 +329,14 @@ class CoherenceEngine:
         np.multiply(c.real, c.real, out=a2)
         np.multiply(c.imag, c.imag, out=pw)
         a2 += pw
-        np.power(a2, p // 2 - 1, out=pw)  # |c|^(p-2)
+        top = float(a2.max())
+        scale = top if top > 0 and abs(p * math.log2(top)) > 1024 else 1.0
+        if scale != 1.0:
+            a2 /= scale
+        np.power(a2, p // 2 - 1, out=pw)  # |c|^(p-2), over scale^(p/2 - 1)
         a2 *= pw
         v_p = float(self._mult @ np.sum(a2, axis=1))
-        pw *= ((p / 2.0) * self._mult)[:, None]
+        pw *= ((p / 2.0) * self._mult / scale)[:, None]
         c.real *= pw  # T_d, in place of c_d
         c.imag *= pw
         np.matmul(c.reshape(-1, g_phi), self._at_t, out=work.z.reshape(-1, nt))
@@ -318,7 +346,7 @@ class CoherenceEngine:
         vgrad = np.matmul(work.y.transpose(0, 2, 1), blocks)
         np.matmul(work.y, work.xc, out=work.xv)
         vgrad += np.conjugate(work.xv, out=work.xv)
-        return float(v_p ** (1.0 / p)), v_p, vgrad
+        return float(v_p ** (1.0 / p)) * math.sqrt(scale), v_p, vgrad
 
 
 def _normalized_rows(design: PilotDesign, dicts: DictionarySet) -> tuple:

@@ -10,6 +10,7 @@ from pilotopt import (
     DegenerateInputError,
     DictionarySet,
     GridSpec,
+    OptimizerConfig,
     PilotDesign,
     SystemConfig,
     build_dictionaries,
@@ -18,6 +19,7 @@ from pilotopt import (
     delay_response,
     gaussian_init,
     load_experiment_config,
+    loss,
     make_baseline_design,
     mutual_coherence,
     welch_bound,
@@ -206,6 +208,22 @@ class TestCoherenceEngine:
         dicts, blocks = _profile_blocks("paper", 8)
         blocks[1::4] = 0.0
         self.assert_matches_oracle(blocks, dicts, ps=(4,))
+
+    def test_large_p_rescaled_sums_match_oracle(self):
+        # The largest |c|^2 of these blocks is about 2^18, so at p = 80 the top
+        # |c|^p is about 2^727: past the engine's 2^512 rescaling threshold, yet
+        # inside the float range, where the oracle's unscaled sums stay finite.
+        dicts, blocks = _profile_blocks("desk", 7)
+        p = 80
+        f, v_p, vgrad = CoherenceEngine(dicts).f_value_and_vgrad(blocks, p)
+        f_ref, v_ref, vgrad_ref = full_gram_value_and_vgrad(blocks, dicts, p)
+        assert np.isfinite(v_ref) and v_p < v_ref * 2.0**-512  # the rescaled path ran
+        assert f == pytest.approx(f_ref, rel=1e-12)
+        ratio, ratio_ref = vgrad / v_p, vgrad_ref / v_ref
+        assert np.linalg.norm(ratio - ratio_ref) <= 1e-12 * np.linalg.norm(ratio_ref)
+        cfg = OptimizerConfig(p=p, lambda_bar=0.0)
+        total_sq = float(np.vdot(blocks, blocks).real)
+        assert loss(blocks, dicts, cfg) == pytest.approx(f_ref / total_sq, rel=1e-12)
 
     def test_paper_call_allocates_only_the_gradient(self):
         # Stands in for a timing gate: the work buffers are made by the first

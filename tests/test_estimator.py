@@ -197,6 +197,33 @@ class TestOmpSolve:
         assert len(est.support) == 2
         assert est.residual_norm == pytest.approx(0.5, rel=1e-12)
 
+    @pytest.mark.parametrize("gap", [1e-10, 1e-17])
+    def test_near_duplicate_columns_match_lstsq(self, gap, caplog):
+        # Two AoD columns that differ by ``gap`` relative: at 1e-10 the active
+        # set is ill-conditioned but of full rank, at 1e-17 it rounds to a
+        # duplicate. The refit must agree with lstsq on the same active set,
+        # warning exactly when lstsq finds it rank-deficient.
+        dicts = DictionarySet(
+            theta_grid=np.zeros(1), phi_grid=np.zeros(2), tau_grid=np.zeros(1),
+            a_r=np.array([[1.0], [0.0]]), a_t=np.array([[1.0, 1.0], [0.0, gap]]), b=np.ones((1, 1)),
+        )
+        design = PilotDesign(blocks=np.eye(2)[None], allocation=(0,), total_power=2.0)
+        op = build_sensing_matrix(design, dicts)
+        y = np.array([1.0 + 0.5j, 0.5, 0.2 + 0.3j, -0.4])
+        with caplog.at_level(logging.WARNING):
+            est = omp_solve(y, op, max_sparsity=2)
+        assert len(est.support) == 2
+        basis = np.column_stack([op.column(g) for g in est.support])
+        gains, _, rank, _ = np.linalg.lstsq(basis, y, rcond=None)
+        assert rank == (2 if gap == 1e-10 else 1)
+        assert est.residual_norm == pytest.approx(np.linalg.norm(y - basis @ gains), rel=1e-12)
+        warned = [r.getMessage() for r in caplog.records if r.name == "pilotopt.estimator"]
+        expected = [] if rank == 2 else [
+            "OMP active set is rank-deficient (rank 1 < 2); using the minimum-norm "
+            "least-squares solution"
+        ]
+        assert warned == expected
+
     def test_noisy_run_completes_with_distinct_atoms(self):
         cfg, spec, dicts, design = orthogonal_setup()
         op = build_sensing_matrix(design, dicts)
@@ -241,9 +268,9 @@ class TestGramOmp:
         steps = []
         gram_update = op.residual_correlations
 
-        def recording(alpha0, atoms, gains):
-            corr = gram_update(alpha0, atoms, gains)
-            steps.append((list(atoms), gains.copy(), corr.copy()))
+        def recording(alpha0, omega_gram, atoms, gains, out):
+            corr = gram_update(alpha0, omega_gram, atoms, gains, out)
+            steps.append((list(atoms), gains.copy(), corr * op.column_norms()))
             return corr
 
         op.residual_correlations = recording
@@ -265,6 +292,24 @@ class TestGramOmp:
                 basis = np.column_stack([op.column(g) for g in atoms])
                 explicit = dense_rmatvec(omega, dicts.a_r, y - basis @ gains)
                 assert _rel(corr, explicit) <= 1e-12
+
+    @pytest.mark.parametrize("design_seed", [4, 5])
+    def test_paper_measurements_match_dense_oracle(self, design_seed):
+        # 8 channels x 3 SNRs, one of them noiseless, per Gaussian Q = 8 design.
+        cfg = load_experiment_config("paper")
+        dicts = build_dictionaries(cfg.grids, cfg.system)
+        design = make_baseline_design(cfg, 8, design_seed)
+        op = build_sensing_matrix(design, dicts)
+        omega = sensing_omega(design, dicts)
+        sparsity = cfg.evaluation.max_sparsity
+        for trial in range(8):
+            for snr_db in (0.0, 20.0, None):
+                y = _measurement(cfg, design, trial, snr_db)
+                est = omp_solve(y, op, sparsity)
+                ref = dense_omp_solve(y, omega, dicts.a_r, sparsity)
+                assert est.support == ref.support
+                assert _rel(est.coefficients, ref.coefficients) <= 1e-12
+                assert est.residual_norm == pytest.approx(ref.residual_norm, rel=1e-12)
 
     def test_one_adjoint_per_solve(self, monkeypatch):
         cfg, dicts, design = _profile_case("paper")

@@ -330,6 +330,17 @@ class TestRunEstimate:
         par = run_estimate(tiny_cfg, [d], tmp_path / "p", threads=2)
         assert seq["trials"].read_bytes() == par["trials"].read_bytes()
 
+    def test_threaded_many_trials_match_sequential(self, tmp_path):
+        # 16 trials x 3 SNRs of paper-size solves keep both pool threads in OMP
+        # at once on one shared operator.
+        path = tmp_path / "many.cfg"
+        path.write_text("num_trials = 16\nsnr_db_list = 0, 10, 20\n")
+        cfg = load_experiment_config("paper", path)
+        d = run_baseline(cfg, 8, tmp_path / "design_b.json")
+        seq = run_estimate(cfg, [d], tmp_path / "s", threads=1)
+        par = run_estimate(cfg, [d], tmp_path / "p", threads=2)
+        assert seq["trials"].read_bytes() == par["trials"].read_bytes()
+
     def test_mixed_allocation_sizes_guarded(self, tiny_cfg, tmp_path):
         d = run_design(tiny_cfg, tmp_path / "d")["design"]
         q = len(load_design(d).allocation)
@@ -708,6 +719,17 @@ class TestCli:
         assert (tmp_path / "e" / "summary.csv").exists()
         assert main(["report", *base, "--design", str(design), "--out", str(tmp_path / "r")]) == 0
         assert main(["gradcheck", *base]) == 0
+
+    def test_design_at_large_p(self, tmp_path):
+        # |c|^p of the unscaled Gram rows overflows at this p; the loss does not.
+        cfg_file = tmp_path / "large_p.cfg"
+        cfg_file.write_text("p = 1000\niterations = 5\n")
+        out = tmp_path / "d"
+        assert main(["design", "--profile", "desk", "--config", str(cfg_file), "--out", str(out)]) == 0
+        with open(out / "trace.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(row["iteration"]) for row in rows] == list(range(6))
+        assert all(np.isfinite(float(v)) for row in rows for v in row.values())
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
