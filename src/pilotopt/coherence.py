@@ -386,7 +386,13 @@ def welch_bound(n_obs: int, n_atoms: int) -> float:
 
 @dataclass(frozen=True)
 class CoherenceReport:
-    """Summary metrics plus CDF samples of the Omega-factor geometry."""
+    """Summary metrics plus CDF samples of the Omega-factor geometry.
+
+    Each CDF is held as runs: sorted ``values`` and, per value, the
+    positive count of pairs or columns it stands for. Equal values from
+    different delay-difference rows sit side by side, so ``np.repeat(values,
+    counts)`` is the sorted CDF itself; the ``*_cdf`` properties expand it.
+    """
 
     mutual_coherence: float
     generalized: float
@@ -394,8 +400,18 @@ class CoherenceReport:
     welch: float
     n_obs: int
     n_atoms: int
-    inner_product_cdf: np.ndarray  # sorted normalized |<w_i, w_j>|, i != j
-    column_norm_cdf: np.ndarray  # sorted ||w_j||_2
+    inner_product_runs: tuple[np.ndarray, np.ndarray]  # normalized |<w_i, w_j>|, i < j
+    column_norm_runs: tuple[np.ndarray, np.ndarray]  # ||w_j||_2
+
+    @property
+    def inner_product_cdf(self) -> np.ndarray:
+        """Sorted normalized ``|<w_i, w_j>|`` over the pairs ``i < j``, expanded from its runs."""
+        return np.repeat(*self.inner_product_runs)
+
+    @property
+    def column_norm_cdf(self) -> np.ndarray:
+        """Sorted ``||w_j||_2``, expanded from its runs."""
+        return np.repeat(*self.column_norm_runs)
 
     def summary_dict(self) -> dict:
         return {
@@ -428,9 +444,10 @@ def coherence_report(design: PilotDesign, dicts: DictionarySet, p: int) -> Coher
     Everything comes from the sensing operator's normalized delay-difference
     rows: ``mu`` and ``nu_p`` through the Kronecker split, and, when the Omega
     Gram has at most DENSE_ENTRY_CAP entries, the CDF over all its
-    off-diagonal column pairs (row ``d`` recurs ``G_tau - d`` times); larger
-    factors get a seeded uniform subsample of ``PAIR_SUBSAMPLE_SIZE`` pairs
-    instead.
+    off-diagonal column pairs, as the rows' entries with their counts: row
+    ``d > 0`` recurs ``G_tau - d`` times and row 0's upper triangle
+    ``G_tau`` times. Larger factors get a seeded uniform subsample of
+    ``PAIR_SUBSAMPLE_SIZE`` pairs instead, each counted once.
 
     ``nu_p`` sums off-diagonal pairs alone: ``nu_p^p = O A + O G + N A`` for
     the factors' off-diagonal power sums ``O`` and ``A`` over ``N`` and ``G``
@@ -448,10 +465,13 @@ def coherence_report(design: PilotDesign, dicts: DictionarySet, p: int) -> Coher
     nu_scaled = o_sum * a_sum * mu**p + o_sum * ar_gram.shape[0] + n_cols * a_sum
     if n_cols * n_cols <= DENSE_ENTRY_CAP:
         upper = rows[0][np.triu_indices(g_phi, k=1)]
-        inner = np.repeat(rows[1:], g_tau - np.arange(1, g_tau), axis=0).ravel()
-        inner = np.concatenate([np.tile(upper, g_tau), inner])
+        inner = np.concatenate([upper, rows[1:].ravel()])
+        counts = np.repeat(g_tau - np.arange(g_tau), [upper.size] + [g_phi * g_phi] * (g_tau - 1))
+        order = np.argsort(inner)
+        inner, counts = inner[order], counts[order]
     else:
-        inner = _sampled_pair_values(rows)
+        inner = np.sort(_sampled_pair_values(rows))
+        counts = np.ones(inner.size, dtype=np.int64)
     return CoherenceReport(
         mutual_coherence=mu,
         generalized=float(top * nu_scaled ** (1.0 / p)),
@@ -459,6 +479,6 @@ def coherence_report(design: PilotDesign, dicts: DictionarySet, p: int) -> Coher
         welch=welch_bound(n_obs, n_atoms),
         n_obs=n_obs,
         n_atoms=n_atoms,
-        inner_product_cdf=np.sort(inner),
-        column_norm_cdf=np.sort(np.tile(norms, g_tau)),
+        inner_product_runs=(inner, counts),
+        column_norm_runs=(np.sort(norms), np.full(g_phi, g_tau)),
     )

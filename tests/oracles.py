@@ -7,7 +7,8 @@ from the full (G_tau^2, G_phi^2) Omega Gram tensor, the dense ``Psi =
 Omega kron A_r`` (behind a memory cap) and its forward product, OMP with
 one dense adjoint ``Psi^H r`` per step, the full-sensing-matrix objective
 from a dense ``Psi``, the normalized Gram of a design's dense ``Omega``,
-mutual and generalized coherence from a dense normalized Gram, the AoA
+mutual and generalized coherence from a dense normalized Gram, the
+report's CDFs expanded entry by entry from the delay-difference rows, the AoA
 dictionary coherence from its dense Gram, the flat grid index of a
 (delay, AoD, AoA) tuple, the channel of a virtual-gain vector and of a
 path realization as sums of Kronecker (Khatri-Rao) columns. ``f_omega``
@@ -142,6 +143,21 @@ def _off_diagonal_normalized_gram(matrix):
 def normalized_omega_gram(design, dicts):
     """Normalized off-diagonal Gram of the dense pilot factor on the allocated subcarriers."""
     return _off_diagonal_normalized_gram(sensing_omega(design, dicts))
+
+
+def expanded_cdfs(rows, norms):
+    """The report's CDFs with every pair and column written out, then sorted.
+
+    ``rows`` are the normalized delay-difference rows (G_tau, G_phi, G_phi)
+    and ``norms`` the G_phi Omega column norms: row ``d > 0`` is one pair per
+    entry for each of its ``G_tau - d`` delay offsets, row 0's upper triangle
+    one per delay, and each norm belongs to ``G_tau`` columns.
+    """
+    g_tau, g_phi, _ = rows.shape
+    upper = rows[0][np.triu_indices(g_phi, k=1)]
+    inner = np.repeat(rows[1:], g_tau - np.arange(1, g_tau), axis=0).ravel()
+    inner = np.concatenate([np.tile(upper, g_tau), inner])
+    return np.sort(inner), np.sort(np.tile(norms, g_tau))
 
 
 def dense_mutual_coherence(matrix):

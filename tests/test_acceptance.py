@@ -3,7 +3,7 @@ pass/fail line (run with ``pytest tests/test_acceptance.py -v -s``).
 
 Everything runs on the desk profile; the single full-scale check is gated
 behind the PILOTOPT_PAPER_SCALE environment variable because it takes about
-6 minutes (20 000 paper-profile iterations on a 2-core host).
+2 minutes (20 000 paper-profile iterations on a 2-core host).
 """
 
 import dataclasses
@@ -219,7 +219,7 @@ def test_criterion_06_sparsity_control(desk):
 
 @pytest.mark.skipif(
     not os.environ.get("PILOTOPT_PAPER_SCALE"),
-    reason="full-scale run takes about 6 minutes; set PILOTOPT_PAPER_SCALE=1 to enable",
+    reason="full-scale run takes about 2 minutes; set PILOTOPT_PAPER_SCALE=1 to enable",
 )
 def test_criterion_06_long_run_full_scale():
     cfg = load_experiment_config("paper")

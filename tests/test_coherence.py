@@ -22,6 +22,7 @@ from pilotopt import (
     loss,
     make_baseline_design,
     mutual_coherence,
+    optimize,
     welch_bound,
 )
 
@@ -33,6 +34,7 @@ from oracles import (
     dense_mutual_coherence,
     dense_psi,
     dense_rmatvec,
+    expanded_cdfs,
     f_omega,
     f_psi_reference,
     full_gram_tensor,
@@ -698,7 +700,9 @@ class TestCoherenceReport:
         assert split.mutual_coherence == pytest.approx(whole.mutual_coherence, rel=1e-12)
         assert split.generalized == pytest.approx(whole.generalized, rel=1e-12)
         assert split.inner_product_cdf.size == 500
-        assert np.all(np.diff(split.inner_product_cdf) >= 0)
+        values, counts = split.inner_product_runs
+        assert np.all(np.diff(values) >= 0)
+        np.testing.assert_array_equal(counts, 1)
         assert split.inner_product_cdf.max() <= whole.inner_product_cdf.max() * (1 + 1e-12)
         assert split.inner_product_cdf.min() >= whole.inner_product_cdf.min() * (1 - 1e-12)
         again = coherence_report(design, dicts, 4)
@@ -711,6 +715,32 @@ class TestCoherenceReport:
         j = rng.integers(0, n - 1, 500)
         j = np.where(j >= i, j + 1, j)
         np.testing.assert_allclose(split.inner_product_cdf, np.sort(gram[i, j]), rtol=0, atol=1e-12)
+
+
+def _assert_runs_expand_to_oracle(design, dicts):
+    """Both CDFs' runs expand bit for bit to the sorted entry-by-entry oracle."""
+    report = coherence_report(design, dicts, 4)
+    rows, _, _, norms = coherence._normalized_rows(design, dicts)
+    n_cols = rows.shape[0] * rows.shape[1]
+    for (values, counts), expected in zip((report.inner_product_runs, report.column_norm_runs),
+                                          expanded_cdfs(rows, norms)):
+        assert np.repeat(values, counts).tobytes() == expected.tobytes()
+        assert np.all(counts > 0)
+    assert report.inner_product_runs[1].sum() == n_cols * (n_cols - 1) // 2
+    assert report.column_norm_runs[1].sum() == n_cols
+
+
+class TestCdfRuns:
+    def test_desk_optimized_design_matches_oracle(self):
+        cfg = load_experiment_config("desk")
+        dicts = build_dictionaries(cfg.grids, cfg.system)
+        x0 = gaussian_init(16, 8, 4, 0)
+        design, _ = optimize(x0, dicts, cfg.optimizer, cfg.system.total_power)
+        assert len(design.allocation) < cfg.system.num_subcarriers
+        _assert_runs_expand_to_oracle(design, dicts)
+
+    def test_paper_baseline_matches_oracle(self, paper_baseline):
+        _assert_runs_expand_to_oracle(paper_baseline[1], paper_baseline[0])
 
 
 class TestPaperScaleReport:
@@ -743,4 +773,4 @@ class TestPaperScaleReport:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 48 * 2**20
+        assert peak <= 8 * 2**20

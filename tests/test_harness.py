@@ -449,16 +449,16 @@ _CSV_POOLS = {
                       5e-324, 0.1, 1e16]),
     "int": (np.int64, [0, 1, -7, 2**63 - 1]),
     "big_int": (object, [0, 3, 2**64 + 5, 10**30]),
-    "text": (str, ["", 'a,"b"', "two\nlines", " padded ", "x"]),
+    "text": (str, ["", 'a,"b"', "two\nlines", " padded ", "x", "{0}", "}{"]),
 }
 
 
 class TestCsvWriter:
     """The column-wise writer against the row-wise csv.writer route, byte for byte."""
 
-    def _check(self, tmp_path, header, columns, rows):
+    def _check(self, tmp_path, header, columns, rows, repeats=None):
         path = tmp_path / "out.csv"
-        harness._write_csv(path, header, columns)
+        harness._write_csv(path, header, columns, repeats)
         assert path.read_bytes() == _oracle_bytes(tmp_path, header, rows)
 
     def test_trace_matches_row_route(self, tiny_cfg, tmp_path):
@@ -547,6 +547,13 @@ class TestCsvWriter:
                     [[t, repr(float(v))] for t, v in zip(tags, nums)])
         self._check(tmp_path, ["nmse", "file"], [nums, tags],
                     [[repr(float(v)), t] for t, v in zip(tags, nums)])
+        # A broadcast column goes into the row template once: braces stay literal,
+        # and a lone empty field is still written as "".
+        for tag in ("{0}", "}{", 'a,"{b}"', ""):
+            self._check(tmp_path, ["method", "nmse"], [np.broadcast_to(tag, nums.size), nums],
+                        [[tag, repr(float(v))] for v in nums])
+        self._check(tmp_path, ["method"], [np.broadcast_to("", 3)], [[""]] * 3)
+        self._check(tmp_path, ["method"], [np.broadcast_to("", 2)], [[""]] * 6, repeats=[4, 2])
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_chunk_boundary(self, tmp_path, offset):
@@ -578,16 +585,26 @@ class TestCsvWriter:
         monkeypatch.setattr(harness, "_CSV_CHUNK", data.draw(st.integers(1, 7)))
         n = data.draw(st.integers(0, 40))
         columns, rows = [], [[] for _ in range(n)]
-        kinds = data.draw(st.lists(st.sampled_from(sorted(_CSV_POOLS)), min_size=1, max_size=4))
+        # A lone text column is drawn often: csv writes its empty field as "", varying or not.
+        kinds = data.draw(st.just(["text"])
+                          | st.lists(st.sampled_from(sorted(_CSV_POOLS)), min_size=1, max_size=4))
         for kind in kinds:
             dtype, pool = _CSV_POOLS[kind]
-            values = []
-            while len(values) < n:
-                values += [data.draw(st.sampled_from(pool))] * data.draw(st.integers(1, 9))
-            columns.append(np.asarray(values[:n], dtype=dtype))
+            if data.draw(st.booleans()):  # one value broadcast over the rows
+                value = data.draw(st.sampled_from(pool))
+                values = [value] * n
+                columns.append(np.broadcast_to(np.asarray(value, dtype=dtype), n))
+            else:
+                values = []
+                while len(values) < n:
+                    values += [data.draw(st.sampled_from(pool))] * data.draw(st.integers(1, 9))
+                columns.append(np.asarray(values[:n], dtype=dtype))
             for row, v in zip(rows, values):
                 row.append(repr(v) if kind == "float" else v)
-        self._check(tmp_path, [f"c{i}" for i in range(len(columns))], columns, rows)
+        repeats = data.draw(st.none() | st.lists(st.integers(1, 9), min_size=n, max_size=n))
+        if repeats is not None:
+            rows = [row for row, r in zip(rows, repeats) for _ in range(r)]
+        self._check(tmp_path, [f"c{i}" for i in range(len(columns))], columns, rows, repeats)
 
     @staticmethod
     def _cdf_columns():
@@ -607,6 +624,14 @@ class TestCsvWriter:
         for kind, values in (("inner_product", inner), ("column_norm", report.column_norm_cdf)):
             self._check(tmp_path, ["kind", "value"], [np.broadcast_to(kind, values.size), values],
                         [(kind, repr(float(v))) for v in values])
+        # The whole files, written from the runs, against the expanded arrays.
+        paths = harness.save_report(report, tmp_path / "r")
+        for key, kind, values in (("inner", "inner_product", report.inner_product_cdf),
+                                  ("norm", "column_norm", report.column_norm_cdf)):
+            expanded = tmp_path / f"{key}.csv"
+            harness._write_csv(expanded, ["kind", "value"],
+                               [np.broadcast_to(kind, values.size), values])
+            assert paths[key].read_bytes() == expanded.read_bytes()
 
     def test_each_run_formatted_once(self, tmp_path, monkeypatch):
         kind, values = self._cdf_columns()
@@ -616,8 +641,8 @@ class TestCsvWriter:
             quoted.append(text)
             return csv_text_field(text)
 
-        def rows(chunk, quote):
-            out = csv_rows(chunk, quote)
+        def rows(*args):
+            out = csv_rows(*args)
             lines.extend(out[0])
             return out
 
@@ -644,6 +669,26 @@ class TestCsvWriter:
             tracemalloc.stop()
         assert path.stat().st_size > 8_000_000
         assert peak <= 1 << 20
+
+    def test_memory_bounded_under_repeats(self, tmp_path, paper_baseline):
+        # Lines are written at most one chunk at a time, however many rows a value spans.
+        report = coherence_report(paper_baseline[1], paper_baseline[0], 4)
+        cases = {
+            "one_row": lambda path: harness._write_csv(
+                path, ["kind", "value"], [np.broadcast_to("k", 1), [0.5]], repeats=[10**6]),
+            "wide_runs": lambda path: harness._write_csv(
+                path, ["kind", "value"], [np.broadcast_to("k", 1024), np.arange(1024) / 7],
+                repeats=np.full(1024, 2048)),
+            "paper_report": lambda path: harness.save_report(report, path),
+        }
+        for name, write in cases.items():
+            tracemalloc.start()
+            try:
+                write(tmp_path / name)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1 << 20, name
 
     def test_memory_bounded_when_rows_differ(self, tmp_path):
         # A 2 000-iteration trace: no two rows are equal, so every row is formatted.
