@@ -350,47 +350,44 @@ def _csv_text_field(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def _csv_rows(
-    chunk: list[np.ndarray], size: int, row: str, quote, repeats
-) -> tuple[list[str], np.ndarray]:
-    """Lines of the runs of equal rows in one chunk of ``size`` rows, and where each run ends.
+def _csv_rows(chunk: list[np.ndarray], quote, repeats) -> tuple[list[str], np.ndarray]:
+    """Lines of the runs of equal rows in one chunk of columns, and where each run ends.
 
-    ``chunk`` holds the columns that vary, filled into ``row``'s ``{}``
-    fields. A run ends where any of them changes (floats compared by bit
-    pattern, so ``0.0`` and ``-0.0`` stay apart). Each run's row is
-    formatted once: numbers as their ``repr``, text through ``quote``. Run
-    ``i`` ends after output line ``ends[i]``, a row spanning its ``repeats``
-    lines, or one without them.
+    A run ends where any column changes (floats compared by bit pattern, so
+    ``0.0`` and ``-0.0`` stay apart). Each run's row is formatted once:
+    numbers as their ``repr``, text through ``quote``. Run ``i`` ends after
+    output line ``ends[i]``, a row spanning its ``repeats`` lines, or one
+    without them.
     """
-    change = np.zeros(size - 1, dtype=bool)
+    change = np.zeros(len(chunk[0]) - 1, dtype=bool)
     for col in chunk:
         keys = col.view(f"i{col.itemsize}") if col.dtype.kind == "f" else col
         change |= keys[1:] != keys[:-1]
     edges = np.flatnonzero(np.concatenate(([True], change, [True])))
     fields = [map(quote if col.dtype.kind == "U" else repr, col[edges[:-1]].tolist())
               for col in chunk]
-    if row == "{}\n":  # as csv does, a row's lone empty field is "", not a blank line
+    if len(fields) == 1:  # as csv does, a row's lone empty field is "", not a blank line
         fields[0] = (field or '""' for field in fields[0])
-    lines = list(map(row.format, *fields)) if fields else [row.format()]
-    return lines, edges[1:] if repeats is None else np.cumsum(repeats)[edges[1:] - 1]
+    row = ",".join(["{}"] * len(fields)) + "\n"
+    ends = edges[1:] if repeats is None else np.cumsum(repeats)[edges[1:] - 1]
+    return list(map(row.format, *fields)), ends
 
 
 def _write_runs(fh, lines: list[str], ends: np.ndarray) -> None:
-    """Write run ``i``'s line until output line ``ends[i]``, at most ``_CSV_CHUNK`` per write."""
-    cuts = np.arange(_CSV_CHUNK, ends[-1], _CSV_CHUNK)
-    piece_ends = np.sort(np.concatenate((ends, cuts)))  # an end at a cut adds an empty piece
-    runs = np.searchsorted(ends, piece_ends).tolist()
-    sizes = np.diff(piece_ends, prepend=0).tolist()
-    stops = [*(np.searchsorted(piece_ends, cuts) + 1).tolist(), len(sizes)]
-    for a, b in zip([0, *stops], stops):
-        fh.write("".join(map(operator.mul, map(lines.__getitem__, runs[a:b]), sizes[a:b])))
+    """Write run ``i``'s line until output line ``ends[i]``, at most ``_CSV_CHUNK`` lines per write.
 
-
-def _csv_field(col: np.ndarray, quote, lone: bool) -> str:
-    """Row-template text of a column that repeats one value: formatted once, braces escaped."""
-    value = col[:1].tolist()[0]
-    text = quote(value) if col.dtype.kind == "U" else repr(value)
-    return text.replace("{", "{{").replace("}", "}}") or ('""' if lone else "")
+    The block of output lines ``[lo, hi)`` holds runs ``a`` (the first to end
+    after ``lo``) to ``b`` (the first to end at or after ``hi``), each cut
+    to the block.
+    """
+    total = int(ends[-1])
+    edges = [*range(0, total, _CSV_CHUNK), total]
+    firsts = np.searchsorted(ends, edges[:-1], side="right").tolist()
+    lasts = np.searchsorted(ends, edges[1:]).tolist()
+    ends = ends.tolist()
+    for lo, hi, a, b in zip(edges, edges[1:], firsts, lasts):
+        cuts = [lo, *ends[a:b], hi]
+        fh.write("".join(map(operator.mul, lines[a:b + 1], map(operator.sub, cuts[1:], cuts))))
 
 
 def _write_csv(path: str | Path, header: list[str], columns, repeats=None) -> None:
@@ -402,14 +399,12 @@ def _write_csv(path: str | Path, header: list[str], columns, repeats=None) -> No
     their ``repr``, the shortest text that reads back to the same value and
     what ``csv`` writes for a Python float or int. Text is quoted by the
     ``csv`` module itself, once per distinct value in the file, so a value
-    holding ``,`` or ``"`` reads back unchanged. A zero-stride column (one
-    value broadcast over the rows) is formatted once per file into the row
-    template. The other columns are read ``_CSV_CHUNK`` rows at a time
-    through ``np.asarray``; ``_csv_rows`` formats each run of equal rows in
-    a chunk once, and its line is repeated over the run's output rows,
-    written at most ``_CSV_CHUNK`` lines at a time. So memory stays bounded
-    by one chunk whatever the row count and the repeats (without
-    ``repeats``, each row is written once).
+    holding ``,`` or ``"`` reads back unchanged. Columns are read
+    ``_CSV_CHUNK`` rows at a time through ``np.asarray``; ``_csv_rows``
+    formats each run of equal rows in a chunk once, and its line is repeated
+    over the run's output rows, written at most ``_CSV_CHUNK`` lines at a
+    time. So memory stays bounded by one chunk whatever the row count and
+    the repeats (without ``repeats``, each row is written once).
     """
     if len(columns) != len(header):
         raise ValueError("one column per header field is required")
@@ -417,17 +412,13 @@ def _write_csv(path: str | Path, header: list[str], columns, repeats=None) -> No
     if any(len(col) != n for col in columns) or (repeats is not None and len(repeats) != n):
         raise ValueError("columns must have equal length")
     quote = functools.cache(_csv_text_field)
-    fixed = [n > 0 and isinstance(col, np.ndarray) and col.strides == (0,) for col in columns]
-    row = ",".join(_csv_field(col, quote, len(columns) == 1) if is_fixed else "{}"
-                   for col, is_fixed in zip(columns, fixed)) + "\n"
-    varying = [col for col, is_fixed in zip(columns, fixed) if not is_fixed]
     with open(path, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
         for start in range(0, n, _CSV_CHUNK):
             rows = slice(start, start + _CSV_CHUNK)
-            chunk = [np.asarray(col[rows]) for col in varying]
+            chunk = [np.asarray(col[rows]) for col in columns]
             reps = None if repeats is None else np.asarray(repeats[rows])
-            _write_runs(fh, *_csv_rows(chunk, min(n - start, _CSV_CHUNK), row, quote, reps))
+            _write_runs(fh, *_csv_rows(chunk, quote, reps))
 
 
 def save_trace(trace: OptimizationTrace, path: str | Path) -> None:
@@ -451,7 +442,7 @@ def save_report(report: CoherenceReport, out_dir: str | Path, stem: str = "") ->
     for key, kind, (values, counts) in (("inner", "inner_product", report.inner_product_runs),
                                         ("norm", "column_norm", report.column_norm_runs)):
         # The paper inner-product CDF is 2.1 M rows from 129 k (value, count) runs,
-        # never expanded; the broadcast kind costs no memory and is formatted once.
+        # never expanded; the broadcast kind costs no memory and is quoted once.
         _write_csv(paths[key], ["kind", "value"], [np.broadcast_to(kind, len(values)), values],
                    repeats=counts)
     paths["summary"].write_text(json.dumps(report.summary_dict(), indent=2) + "\n")

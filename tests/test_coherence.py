@@ -739,8 +739,12 @@ class TestCdfRuns:
         assert len(design.allocation) < cfg.system.num_subcarriers
         _assert_runs_expand_to_oracle(design, dicts)
 
-    def test_paper_baseline_matches_oracle(self, paper_baseline):
-        _assert_runs_expand_to_oracle(paper_baseline[1], paper_baseline[0])
+    @pytest.mark.parametrize("target_q", [8, 9])
+    def test_paper_baseline_matches_oracle(self, paper_baseline, target_q):
+        dicts, design = paper_baseline
+        if target_q != len(design.allocation):
+            design = make_baseline_design(load_experiment_config("paper"), target_q, 0)
+        _assert_runs_expand_to_oracle(design, dicts)
 
 
 class TestPaperScaleReport:

@@ -547,8 +547,7 @@ class TestCsvWriter:
                     [[t, repr(float(v))] for t, v in zip(tags, nums)])
         self._check(tmp_path, ["nmse", "file"], [nums, tags],
                     [[repr(float(v)), t] for t, v in zip(tags, nums)])
-        # A broadcast column goes into the row template once: braces stay literal,
-        # and a lone empty field is still written as "".
+        # A broadcast column: braces stay literal, and a lone empty field is still "".
         for tag in ("{0}", "}{", 'a,"{b}"', ""):
             self._check(tmp_path, ["method", "nmse"], [np.broadcast_to(tag, nums.size), nums],
                         [[tag, repr(float(v))] for v in nums])
@@ -578,14 +577,15 @@ class TestCsvWriter:
         self._check(tmp_path, ["a", "b"], columns[-1:] + columns[:1],
                     [["tail", 'lead,"x"']] * n)
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None,
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_runs_match_row_route(self, tmp_path, monkeypatch, data):
         monkeypatch.setattr(harness, "_CSV_CHUNK", data.draw(st.integers(1, 7)))
         n = data.draw(st.integers(0, 40))
         columns, rows = [], [[] for _ in range(n)]
-        # A lone text column is drawn often: csv writes its empty field as "", varying or not.
+        # A lone text column is drawn often: csv writes its empty field as "". With
+        # 200 examples the mixed draws stay at least as many as 100 plain draws gave.
         kinds = data.draw(st.just(["text"])
                           | st.lists(st.sampled_from(sorted(_CSV_POOLS)), min_size=1, max_size=4))
         for kind in kinds:
@@ -641,8 +641,8 @@ class TestCsvWriter:
             quoted.append(text)
             return csv_text_field(text)
 
-        def rows(*args):
-            out = csv_rows(*args)
+        def rows(chunk, quote, repeats):
+            out = csv_rows(chunk, quote, repeats)
             lines.extend(out[0])
             return out
 
