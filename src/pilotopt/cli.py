@@ -8,7 +8,8 @@ gradient against finite differences, and ``sweep-lambda`` scans the
 sparsity weight.
 
 Exit codes: 0 success, 2 configuration or file error (``ConfigError``,
-``OSError``), 3 numerical failure (any other package error).
+``OSError``, or a ``MemoryError`` from a config too large to hold), 3
+numerical failure (any other package error).
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, MemoryError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (PilotOptError, FloatingPointError) as exc:

@@ -38,8 +38,6 @@ from .dictionary import DictionarySet
 from .errors import DegenerateInputError
 
 __all__ = [
-    "DENSE_ENTRY_CAP",
-    "PAIR_SUBSAMPLE_SIZE",
     "PilotDesign",
     "CoherenceReport",
     "SensingOperator",
@@ -52,9 +50,9 @@ __all__ = [
 
 # Largest Omega Gram, in entries, whose off-diagonal pairs all enter the
 # report's CDF (the 2048-column paper factor just fits).
-DENSE_ENTRY_CAP = 1 << 22
+_DENSE_ENTRY_CAP = 1 << 22
 # Pair count of the seeded CDF subsample for wider Omega factors.
-PAIR_SUBSAMPLE_SIZE = 1_000_000
+_PAIR_SUBSAMPLE_SIZE = 1_000_000
 _PAIR_SAMPLE_SEED = 0x5EED
 
 
@@ -114,7 +112,8 @@ class SensingOperator:
     ``c_d`` (G_tau, G_phi, G_phi) of the Omega Gram; with ``ar_gram = A_r^H
     A_r`` they give ``Psi^H Psi = (Omega^H Omega) kron ar_gram`` column by
     column. ``omega_norms`` (one per g_phi, since ``|b_k| = 1``) and
-    ``ar_norms`` are the factors' column norms. Construction refuses a zero
+    ``ar_norms`` are the factors' column norms, and ``column_norms``, their
+    Kronecker product, those of ``Psi``. Construction refuses a zero
     column of either factor: its normalized inner products are undefined,
     and OMP could never select it.
 
@@ -137,7 +136,7 @@ class SensingOperator:
             zero = np.flatnonzero(n == 0)
             if zero.size:
                 raise DegenerateInputError(f"column {int(zero[0])} of {what} has zero norm")
-        self._col_norms = np.kron(np.tile(self.omega_norms, b_sel.shape[1]), self.ar_norms)
+        self.column_norms = np.kron(np.tile(self.omega_norms, b_sel.shape[1]), self.ar_norms)
         self._inv_omega_norms = 1.0 / self.omega_norms
         self._ar_rows = (self.ar_gram / self.ar_norms[:, None]).T  # row i: A_r Gram column i, normalized
 
@@ -160,10 +159,6 @@ class SensingOperator:
         t, f = divmod(j, self.r.shape[1])
         omega_col = (self.b_sel[:, t, None] * self.r[:, f, :]).ravel()
         return np.outer(omega_col, self.a_r[:, i]).ravel()
-
-    def column_norms(self) -> np.ndarray:
-        """Norms of all columns: ``||omega_j||_2 * ||a_r,i||_2``, per the Kronecker split."""
-        return self._col_norms
 
     def gram_column(self, g: int, out: np.ndarray) -> None:
         """Write atom ``g``'s Omega Gram column, over the Omega column norms, into ``out`` (G_tau, G_phi).
@@ -391,7 +386,8 @@ class CoherenceReport:
     Each CDF is held as runs: sorted ``values`` and, per value, the
     positive count of pairs or columns it stands for. Equal values from
     different delay-difference rows sit side by side, so ``np.repeat(values,
-    counts)`` is the sorted CDF itself; the ``*_cdf`` properties expand it.
+    counts)`` is the sorted CDF itself (2.1 M float64 on the paper profile,
+    which ``save_report`` writes without forming).
     """
 
     mutual_coherence: float
@@ -402,20 +398,6 @@ class CoherenceReport:
     n_atoms: int
     inner_product_runs: tuple[np.ndarray, np.ndarray]  # normalized |<w_i, w_j>|, i < j
     column_norm_runs: tuple[np.ndarray, np.ndarray]  # ||w_j||_2
-
-    @property
-    def inner_product_cdf(self) -> np.ndarray:
-        """Sorted normalized ``|<w_i, w_j>|`` over the pairs ``i < j``, expanded from its runs.
-
-        Each access allocates the full expansion: 2.1 M float64 (16 MiB) on
-        the paper profile. Read ``inner_product_runs`` where the runs serve.
-        """
-        return np.repeat(*self.inner_product_runs)
-
-    @property
-    def column_norm_cdf(self) -> np.ndarray:
-        """Sorted ``||w_j||_2`` over all Omega columns; each access allocates the expansion."""
-        return np.repeat(*self.column_norm_runs)
 
     def summary_dict(self) -> dict:
         return {
@@ -433,8 +415,8 @@ def _sampled_pair_values(rows: np.ndarray) -> np.ndarray:
     g_tau, g_phi, _ = rows.shape
     n_cols = g_tau * g_phi
     rng = np.random.default_rng(_PAIR_SAMPLE_SEED)
-    i = rng.integers(0, n_cols, PAIR_SUBSAMPLE_SIZE)
-    j = rng.integers(0, n_cols - 1, PAIR_SUBSAMPLE_SIZE)
+    i = rng.integers(0, n_cols, _PAIR_SUBSAMPLE_SIZE)
+    j = rng.integers(0, n_cols - 1, _PAIR_SUBSAMPLE_SIZE)
     j = np.where(j >= i, j + 1, j)  # uniform over ordered pairs i != j
     ti, fi = np.divmod(i, g_phi)
     tj, fj = np.divmod(j, g_phi)
@@ -447,11 +429,11 @@ def coherence_report(design: PilotDesign, dicts: DictionarySet, p: int) -> Coher
 
     Everything comes from the sensing operator's normalized delay-difference
     rows: ``mu`` and ``nu_p`` through the Kronecker split, and, when the Omega
-    Gram has at most DENSE_ENTRY_CAP entries, the CDF over all its
+    Gram has at most ``_DENSE_ENTRY_CAP`` entries, the CDF over all its
     off-diagonal column pairs, as the rows' entries with their counts: row
     ``d > 0`` recurs ``G_tau - d`` times and row 0's upper triangle
     ``G_tau`` times. Larger factors get a seeded uniform subsample of
-    ``PAIR_SUBSAMPLE_SIZE`` pairs instead, each counted once.
+    ``_PAIR_SUBSAMPLE_SIZE`` pairs instead, each counted once.
 
     ``nu_p`` sums off-diagonal pairs alone: ``nu_p^p = O A + O G + N A`` for
     the factors' off-diagonal power sums ``O`` and ``A`` over ``N`` and ``G``
@@ -467,7 +449,7 @@ def coherence_report(design: PilotDesign, dicts: DictionarySet, p: int) -> Coher
     o_sum = float(_pair_multiplicity(g_tau) @ np.sum((rows / top) ** p, axis=(1, 2)))
     a_sum = float(np.sum((ar_gram / top) ** p))
     nu_scaled = o_sum * a_sum * mu**p + o_sum * ar_gram.shape[0] + n_cols * a_sum
-    if n_cols * n_cols <= DENSE_ENTRY_CAP:
+    if n_cols * n_cols <= _DENSE_ENTRY_CAP:
         upper = rows[0][np.triu_indices(g_phi, k=1)]
         inner = np.concatenate([upper, rows[1:].ravel()])
         counts = np.repeat(g_tau - np.arange(g_tau), [upper.size] + [g_phi * g_phi] * (g_tau - 1))

@@ -3,8 +3,10 @@
 Configs are flat ``key = value`` text files layered on top of a named
 profile (``desk`` or ``paper``); unknown keys are errors so typos cannot
 silently fall back to profile defaults. All outputs are plot-ready CSV or
-JSON. With a fixed base seed and a single worker the emitted CSV bytes are
-reproducible run to run.
+JSON. With a fixed base seed the emitted bytes are reproducible run to run
+at a fixed BLAS thread count; ``run_estimate``'s ``threads`` does not change
+them. Across BLAS thread counts paper-size results may differ in the last
+digits.
 """
 
 from __future__ import annotations
@@ -350,27 +352,13 @@ def _csv_text_field(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def _csv_rows(chunk: list[np.ndarray], quote, repeats) -> tuple[list[str], np.ndarray]:
-    """Lines of the runs of equal rows in one chunk of columns, and where each run ends.
-
-    A run ends where any column changes (floats compared by bit pattern, so
-    ``0.0`` and ``-0.0`` stay apart). Each run's row is formatted once:
-    numbers as their ``repr``, text through ``quote``. Run ``i`` ends after
-    output line ``ends[i]``, a row spanning its ``repeats`` lines, or one
-    without them.
-    """
-    change = np.zeros(len(chunk[0]) - 1, dtype=bool)
-    for col in chunk:
-        keys = col.view(f"i{col.itemsize}") if col.dtype.kind == "f" else col
-        change |= keys[1:] != keys[:-1]
-    edges = np.flatnonzero(np.concatenate(([True], change, [True])))
-    fields = [map(quote if col.dtype.kind == "U" else repr, col[edges[:-1]].tolist())
-              for col in chunk]
+def _csv_rows(chunk: list[np.ndarray], quote) -> list[str]:
+    """One line per row of a chunk of columns: numbers as their ``repr``, text through ``quote``."""
+    fields = [map(quote if col.dtype.kind == "U" else repr, col.tolist()) for col in chunk]
     if len(fields) == 1:  # as csv does, a row's lone empty field is "", not a blank line
         fields[0] = (field or '""' for field in fields[0])
     row = ",".join(["{}"] * len(fields)) + "\n"
-    ends = edges[1:] if repeats is None else np.cumsum(repeats)[edges[1:] - 1]
-    return list(map(row.format, *fields)), ends
+    return list(map(row.format, *fields))
 
 
 def _write_runs(fh, lines: list[str], ends: np.ndarray) -> None:
@@ -401,10 +389,11 @@ def _write_csv(path: str | Path, header: list[str], columns, repeats=None) -> No
     ``csv`` module itself, once per distinct value in the file, so a value
     holding ``,`` or ``"`` reads back unchanged. Columns are read
     ``_CSV_CHUNK`` rows at a time through ``np.asarray``; ``_csv_rows``
-    formats each run of equal rows in a chunk once, and its line is repeated
-    over the run's output rows, written at most ``_CSV_CHUNK`` lines at a
+    formats each row once, and its line is repeated ``repeats[i]`` times
+    (once without ``repeats``), written at most ``_CSV_CHUNK`` lines at a
     time. So memory stays bounded by one chunk whatever the row count and
-    the repeats (without ``repeats``, each row is written once).
+    the repeats. Callers pass rows already grouped: equal rows are not
+    looked for.
     """
     if len(columns) != len(header):
         raise ValueError("one column per header field is required")
@@ -417,8 +406,8 @@ def _write_csv(path: str | Path, header: list[str], columns, repeats=None) -> No
         for start in range(0, n, _CSV_CHUNK):
             rows = slice(start, start + _CSV_CHUNK)
             chunk = [np.asarray(col[rows]) for col in columns]
-            reps = None if repeats is None else np.asarray(repeats[rows])
-            _write_runs(fh, *_csv_rows(chunk, quote, reps))
+            reps = np.ones(len(chunk[0]), int) if repeats is None else repeats[rows]
+            _write_runs(fh, _csv_rows(chunk, quote), np.cumsum(reps))
 
 
 def save_trace(trace: OptimizationTrace, path: str | Path) -> None:

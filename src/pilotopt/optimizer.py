@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .coherence import CoherenceEngine, PilotDesign
+from .coherence import CoherenceEngine, PilotDesign, _require_even_p
 from .dictionary import DictionarySet
 from .errors import DegenerateDesignError, DegenerateInputError, OptimizationDivergenceError
 
@@ -56,8 +56,7 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if not all(math.isfinite(getattr(self, f.name)) for f in fields(self) if f.type == "float"):
             raise ValueError("optimizer float parameters must be finite")
-        if self.p < 2 or self.p % 2 != 0:
-            raise ValueError("p must be an even integer >= 2")
+        _require_even_p(self.p)
         if not 0.0 < self.q <= 1.0:
             raise ValueError("q must lie in (0, 1]")
         if self.lambda_bar < 0:

@@ -8,7 +8,8 @@ Omega kron A_r`` (behind a memory cap) and its forward product, OMP with
 one dense adjoint ``Psi^H r`` per step, the full-sensing-matrix objective
 from a dense ``Psi``, the normalized Gram of a design's dense ``Omega``,
 mutual and generalized coherence from a dense normalized Gram, the
-report's CDFs expanded entry by entry from the delay-difference rows, the AoA
+report's CDFs expanded entry by entry from the delay-difference rows and,
+through ``expand_runs``, from the report's own (value, count) runs, the AoA
 dictionary coherence from its dense Gram, the flat grid index of a
 (delay, AoD, AoA) tuple, the channel of a virtual-gain vector and of a
 path realization as sums of Kronecker (Khatri-Rao) columns. ``f_omega``
@@ -34,7 +35,7 @@ from pilotopt import (
     extract_allocation,
     steering_vector,
 )
-from pilotopt.coherence import DENSE_ENTRY_CAP
+from pilotopt.coherence import _DENSE_ENTRY_CAP
 from pilotopt.optimizer import _gradient
 
 
@@ -80,7 +81,7 @@ def sensing_omega(design, dicts):
     return build_omega(design.blocks[sel], replace(dicts, b=dicts.b[sel]))
 
 
-def dense_psi(design, dicts, entry_cap=DENSE_ENTRY_CAP):
+def dense_psi(design, dicts, entry_cap=_DENSE_ENTRY_CAP):
     """The sensing matrix ``Omega kron A_r``, refused above ``entry_cap`` entries."""
     n = dicts.num_rx * design.seq_len * len(design.allocation)
     g = dicts.spec.total
@@ -158,6 +159,11 @@ def expanded_cdfs(rows, norms):
     inner = np.repeat(rows[1:], g_tau - np.arange(1, g_tau), axis=0).ravel()
     inner = np.concatenate([np.tile(upper, g_tau), inner])
     return np.sort(inner), np.sort(np.tile(norms, g_tau))
+
+
+def expand_runs(runs):
+    """A report CDF's sorted (value, count) runs as the plain sorted array."""
+    return np.repeat(*runs)
 
 
 def dense_mutual_coherence(matrix):
@@ -278,7 +284,7 @@ def t_p_dictionary(a_r, p):
     return float(np.sum(np.abs(gram) ** p) ** (1.0 / p))
 
 
-def f_psi_reference(blocks, dicts, p, entry_cap=DENSE_ENTRY_CAP):
+def f_psi_reference(blocks, dicts, p, entry_cap=_DENSE_ENTRY_CAP):
     """Full-sensing-matrix objective, computed densely.
 
     Builds ``Psi`` over all K subcarriers and sums |psi_i^H psi_j|^p over

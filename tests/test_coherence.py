@@ -34,6 +34,7 @@ from oracles import (
     dense_mutual_coherence,
     dense_psi,
     dense_rmatvec,
+    expand_runs,
     expanded_cdfs,
     f_omega,
     f_psi_reference,
@@ -480,7 +481,7 @@ class TestSensingOperator:
         y = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
         np.testing.assert_allclose(psi_matvec(design, dicts, x), psi @ x, rtol=1e-12, atol=1e-10)
         np.testing.assert_allclose(op.rmatvec(y), psi.conj().T @ y, rtol=1e-12, atol=1e-10)
-        np.testing.assert_allclose(op.column_norms(), np.linalg.norm(psi, axis=0), rtol=1e-10)
+        np.testing.assert_allclose(op.column_norms, np.linalg.norm(psi, axis=0), rtol=1e-10)
         for g in rng.integers(0, spec.total, 5):
             np.testing.assert_allclose(op.column(int(g)), psi[:, int(g)], atol=1e-13)
 
@@ -543,7 +544,7 @@ class TestSensingOperator:
         nr = dicts.num_rx
         for g in (0, 7, 100, spec.total - 1):
             j = g // spec.g_theta
-            assert op.column_norms()[g] == pytest.approx(
+            assert op.column_norms[g] == pytest.approx(
                 np.sqrt(nr) * omega_norms[j], rel=1e-10
             )
 
@@ -578,7 +579,7 @@ class TestFactoredOperator:
         expected = dense_rmatvec(omega, dicts.a_r, y)
         assert np.linalg.norm(op.rmatvec(y) - expected) <= 1e-12 * np.linalg.norm(expected)
         norms = np.kron(np.linalg.norm(omega, axis=0), np.linalg.norm(dicts.a_r, axis=0))
-        np.testing.assert_allclose(op.column_norms(), norms, rtol=1e-12)
+        np.testing.assert_allclose(op.column_norms, norms, rtol=1e-12)
         for g in rng.integers(0, cfg.grids.total, 8):
             j, i = divmod(int(g), cfg.grids.g_theta)
             column = np.outer(omega[:, j], dicts.a_r[:, i]).ravel()
@@ -613,10 +614,9 @@ class TestCoherenceReport:
         blocks = np.broadcast_to(scale * np.eye(4), (8, 4, 4)).copy()
         design = PilotDesign(blocks=blocks, allocation=tuple(range(8)), total_power=cfg.total_power)
         report = coherence_report(design, dicts, 4)
-        assert report.inner_product_cdf.max() < 1e-12
-        np.testing.assert_allclose(
-            report.column_norm_cdf, report.column_norm_cdf[0], rtol=1e-12
-        )
+        norms = expand_runs(report.column_norm_runs)
+        assert expand_runs(report.inner_product_runs).max() < 1e-12
+        np.testing.assert_allclose(norms, norms[0], rtol=1e-12)
 
     def test_near_zero_column_keeps_inner_products_at_most_one(self):
         # Zero-mean pilot columns null the broadside Omega column up to
@@ -630,8 +630,9 @@ class TestCoherenceReport:
         blocks[[k for k in range(blocks.shape[0]) if k not in design.allocation]] = 0.0
         design = replace(design, blocks=blocks)
         report = coherence_report(design, dicts, 4)
-        assert report.column_norm_cdf[0] < 1e-12 * report.column_norm_cdf[-1]
-        assert report.inner_product_cdf[-1] <= 1.0 + 1e-12
+        norms = expand_runs(report.column_norm_runs)
+        assert norms[0] < 1e-12 * norms[-1]
+        assert expand_runs(report.inner_product_runs)[-1] <= 1.0 + 1e-12
 
     def test_report_fields_and_welch_inequality(self):
         cfg = load_experiment_config("desk")
@@ -641,10 +642,10 @@ class TestCoherenceReport:
         assert report.n_obs == cfg.system.num_rx * cfg.system.seq_len * 6
         assert report.n_atoms == cfg.grids.total
         assert report.welch <= report.mutual_coherence <= 1.0
-        assert np.all(np.diff(report.inner_product_cdf) >= 0)
-        assert np.all(np.diff(report.column_norm_cdf) >= 0)
-        expected_pairs = report.column_norm_cdf.size * (report.column_norm_cdf.size - 1) // 2
-        assert report.inner_product_cdf.size == expected_pairs
+        inner, norms = expand_runs(report.inner_product_runs), expand_runs(report.column_norm_runs)
+        assert np.all(np.diff(inner) >= 0)
+        assert np.all(np.diff(norms) >= 0)
+        assert inner.size == norms.size * (norms.size - 1) // 2
         summary = report.summary_dict()
         assert set(summary) == {"mutual", "generalized_p", "p", "welch_bound", "N", "G"}
 
@@ -684,9 +685,10 @@ class TestCoherenceReport:
         report = coherence_report(design, dicts, 4)
         gram = normalized_omega_gram(design, dicts)
         expected = np.sort(gram[np.triu_indices(gram.shape[0], k=1)])
-        np.testing.assert_allclose(report.inner_product_cdf, expected, rtol=1e-12, atol=1e-15)
+        inner = expand_runs(report.inner_product_runs)
+        np.testing.assert_allclose(inner, expected, rtol=1e-12, atol=1e-15)
         norms = np.linalg.norm(build_omega(blocks, dicts), axis=0)
-        np.testing.assert_allclose(report.column_norm_cdf, np.sort(norms), rtol=1e-12)
+        np.testing.assert_allclose(expand_runs(report.column_norm_runs), np.sort(norms), rtol=1e-12)
 
     def test_blockwise_scan_and_sampled_cdf(self, monkeypatch):
         # A small cap sends the CDF down the seeded-subsample path; the
@@ -694,19 +696,21 @@ class TestCoherenceReport:
         _, _, dicts, blocks = small_setup(21)
         design = PilotDesign(blocks=blocks, allocation=(1, 2, 6), total_power=1.0)
         whole = coherence_report(design, dicts, 4)
-        monkeypatch.setattr(coherence, "DENSE_ENTRY_CAP", 100)
-        monkeypatch.setattr(coherence, "PAIR_SUBSAMPLE_SIZE", 500)
+        monkeypatch.setattr(coherence, "_DENSE_ENTRY_CAP", 100)
+        monkeypatch.setattr(coherence, "_PAIR_SUBSAMPLE_SIZE", 500)
         split = coherence_report(design, dicts, 4)
         assert split.mutual_coherence == pytest.approx(whole.mutual_coherence, rel=1e-12)
         assert split.generalized == pytest.approx(whole.generalized, rel=1e-12)
-        assert split.inner_product_cdf.size == 500
+        sampled = expand_runs(split.inner_product_runs)
+        dense = expand_runs(whole.inner_product_runs)
+        assert sampled.size == 500
         values, counts = split.inner_product_runs
         assert np.all(np.diff(values) >= 0)
         np.testing.assert_array_equal(counts, 1)
-        assert split.inner_product_cdf.max() <= whole.inner_product_cdf.max() * (1 + 1e-12)
-        assert split.inner_product_cdf.min() >= whole.inner_product_cdf.min() * (1 - 1e-12)
+        assert sampled.max() <= dense.max() * (1 + 1e-12)
+        assert sampled.min() >= dense.min() * (1 - 1e-12)
         again = coherence_report(design, dicts, 4)
-        np.testing.assert_array_equal(again.inner_product_cdf, split.inner_product_cdf)
+        np.testing.assert_array_equal(expand_runs(again.inner_product_runs), sampled)
         # The subsample holds the dense Gram's values at the seeded (i, j) draws.
         gram = normalized_omega_gram(design, dicts)
         n = gram.shape[0]
@@ -714,7 +718,7 @@ class TestCoherenceReport:
         i = rng.integers(0, n, 500)
         j = rng.integers(0, n - 1, 500)
         j = np.where(j >= i, j + 1, j)
-        np.testing.assert_allclose(split.inner_product_cdf, np.sort(gram[i, j]), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sampled, np.sort(gram[i, j]), rtol=0, atol=1e-12)
 
 
 def _assert_runs_expand_to_oracle(design, dicts):
@@ -722,10 +726,10 @@ def _assert_runs_expand_to_oracle(design, dicts):
     report = coherence_report(design, dicts, 4)
     rows, _, _, norms = coherence._normalized_rows(design, dicts)
     n_cols = rows.shape[0] * rows.shape[1]
-    for (values, counts), expected in zip((report.inner_product_runs, report.column_norm_runs),
-                                          expanded_cdfs(rows, norms)):
-        assert np.repeat(values, counts).tobytes() == expected.tobytes()
-        assert np.all(counts > 0)
+    for runs, expected in zip((report.inner_product_runs, report.column_norm_runs),
+                              expanded_cdfs(rows, norms)):
+        assert expand_runs(runs).tobytes() == expected.tobytes()
+        assert np.all(runs[1] > 0)
     assert report.inner_product_runs[1].sum() == n_cols * (n_cols - 1) // 2
     assert report.column_norm_runs[1].sum() == n_cols
 
@@ -764,9 +768,9 @@ class TestPaperScaleReport:
         nu_p = omega_sum * ar_sum + g_theta * omega_sum + n_cols * ar_sum
         np.testing.assert_allclose(report.generalized, nu_p ** (1.0 / p), **tol)
         upper = np.sort(gram[np.triu_indices(n_cols, k=1)])
-        np.testing.assert_allclose(report.inner_product_cdf, upper, **tol)
+        np.testing.assert_allclose(expand_runs(report.inner_product_runs), upper, **tol)
         norms = np.linalg.norm(sensing_omega(design, dicts), axis=0)
-        np.testing.assert_allclose(report.column_norm_cdf, np.sort(norms), **tol)
+        np.testing.assert_allclose(expand_runs(report.column_norm_runs), np.sort(norms), **tol)
 
     def test_report_peak_memory(self, paper_baseline):
         # The Omega factor's dense Gram alone would be 64 MiB.

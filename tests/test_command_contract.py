@@ -6,16 +6,18 @@ Each example runs one desk-profile command in-process with small overrides
 and an ``--out`` path that may be unusable. An exception escaping ``main``
 would reach the user as a traceback with exit code 1. The examples are
 derandomized and bounded, so the suite stays deterministic. The design
-whose pilot factor has a zero column is also checked on its own.
+whose pilot factor has a zero column is also checked on its own, and so is a
+config too large to hold in memory.
 """
 
 import json
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pilotopt import PilotDesign, load_experiment_config, make_baseline_design, save_design
+from pilotopt import PilotDesign, harness, load_experiment_config, make_baseline_design, save_design
 from pilotopt.cli import main
 
 _SETTINGS = settings(
@@ -69,6 +71,21 @@ def test_zero_column_design_report_and_estimate(tmp_path):
     # The report and the sensing operator both refuse the zero column.
     assert main(["report", *base, "--design", str(design), "--out", str(tmp_path / "r")]) == 3
     assert main(["estimate", *base, "--designs", str(design), "--out", str(tmp_path / "e")]) == 3
+
+
+@pytest.mark.parametrize("command", [["design", "--out", "d"], ["gradcheck"],
+                                     ["sweep-lambda", "--out", "s", "--lambdas", "1"]])
+def test_config_too_large_for_memory_exits_2(tmp_path, monkeypatch, capsys, command):
+    # g_tau = 100000 on desk asks numpy for 2.33 TiB of delay weights; the
+    # dictionary build raises here instead, so nothing is allocated.
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 2.33 TiB for an array")
+
+    monkeypatch.setattr(harness, "build_dictionaries", out_of_memory)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "huge.cfg").write_text("g_tau = 100000\n")
+    assert main([command[0], "--config", "huge.cfg", *command[1:]]) == 2
+    assert "configuration error: Unable to allocate" in capsys.readouterr().err
 
 
 def _corrupted_design_text(data, payload):

@@ -270,7 +270,7 @@ class TestGramOmp:
 
         def recording(alpha0, omega_gram, atoms, gains, out):
             corr = gram_update(alpha0, omega_gram, atoms, gains, out)
-            steps.append((list(atoms), gains.copy(), corr * op.column_norms()))
+            steps.append((list(atoms), gains.copy(), corr * op.column_norms))
             return corr
 
         op.residual_correlations = recording

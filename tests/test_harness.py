@@ -1,8 +1,12 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +35,7 @@ from pilotopt import (
 from pilotopt import harness
 from pilotopt.cli import main
 
-from oracles import median_difference_ci, write_csv_rows
+from oracles import expand_runs, median_difference_ci, write_csv_rows
 
 
 TINY_OVERRIDES = """
@@ -341,6 +345,48 @@ class TestRunEstimate:
         par = run_estimate(cfg, [d], tmp_path / "p", threads=2)
         assert seq["trials"].read_bytes() == par["trials"].read_bytes()
 
+    # Runs a paper estimate; prints every OMP support and the NMSE values as JSON.
+    _ESTIMATE_SCRIPT = """
+import json, sys
+from pilotopt import estimator, harness
+supports, solve = [], estimator.SOLVERS["omp"]
+def recording(*args):
+    estimate = solve(*args)
+    supports.append(list(estimate.support))
+    return estimate
+estimator.SOLVERS["omp"] = recording
+cfg = harness.load_experiment_config("paper", sys.argv[1])
+out = harness.run_estimate(cfg, [sys.argv[2]], sys.argv[3])
+print(json.dumps({"supports": supports, "nmse": out["nmse"].ravel().tolist()}))
+"""
+
+    def test_blas_thread_count_changes_only_last_digits(self, tmp_path):
+        # Bytes are reproducible at a fixed BLAS thread count only. At 1 and 2
+        # OpenBLAS threads a paper estimate picks the same atoms in the same
+        # trials, and its NMSE values agree to rounding (up to 3.3e-15 relative
+        # was seen over 8 trials), though trials.csv may differ in the last digits.
+        cfg_path = tmp_path / "small.cfg"
+        cfg_path.write_text("num_trials = 2\nsnr_db_list = 10\n")
+        cfg = load_experiment_config("paper", cfg_path)
+        design = run_baseline(cfg, 8, tmp_path / "design_b.json")
+        runs = {}
+        for threads in (1, 2):
+            out = tmp_path / f"threads_{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+                   "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+            done = subprocess.run(
+                [sys.executable, "-c", self._ESTIMATE_SCRIPT, str(cfg_path), str(design), str(out)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr[-2000:]
+            with open(out / "trials.csv", newline="") as fh:
+                trials = [int(row["trial_index"]) for row in csv.DictReader(fh)]
+            runs[threads] = json.loads(done.stdout), trials
+        (one, trials_one), (two, trials_two) = runs[1], runs[2]
+        assert trials_one == trials_two == [0, 1]
+        assert one["supports"] == two["supports"]
+        np.testing.assert_allclose(two["nmse"], one["nmse"], rtol=1e-12, atol=0)
+
     def test_mixed_allocation_sizes_guarded(self, tiny_cfg, tmp_path):
         d = run_design(tiny_cfg, tmp_path / "d")["design"]
         q = len(load_design(d).allocation)
@@ -477,9 +523,9 @@ class TestCsvWriter:
         dicts = build_dictionaries(tiny_cfg.grids, tiny_cfg.system)
         report = coherence_report(load_design(d), dicts, tiny_cfg.optimizer.p)
         paths = harness.save_report(report, tmp_path / "r", stem="x")
-        for key, kind, values in (("inner", "inner_product", report.inner_product_cdf),
-                                  ("norm", "column_norm", report.column_norm_cdf)):
-            rows = [(kind, repr(float(v))) for v in values]
+        for key, kind, runs in (("inner", "inner_product", report.inner_product_runs),
+                                ("norm", "column_norm", report.column_norm_runs)):
+            rows = [(kind, repr(float(v))) for v in expand_runs(runs)]
             assert paths[key].read_bytes() == _oracle_bytes(tmp_path, ["kind", "value"], rows)
 
     def test_estimate_tables_match_row_route(self, tiny_cfg, tmp_path):
@@ -618,45 +664,48 @@ class TestCsvWriter:
         # a 131 072-row slice keeps its runs of 1 to 32 rows, many across chunk edges.
         dicts, design = paper_baseline
         report = coherence_report(design, dicts, 4)
-        inner = report.inner_product_cdf[1_000_003:1_000_003 + (1 << 17)]
-        edges = np.arange(harness._CSV_CHUNK, inner.size, harness._CSV_CHUNK)
-        assert np.any(inner[edges] == inner[edges - 1])
-        for kind, values in (("inner_product", inner), ("column_norm", report.column_norm_cdf)):
+        inner, norms = expand_runs(report.inner_product_runs), expand_runs(report.column_norm_runs)
+        part = inner[1_000_003:1_000_003 + (1 << 17)]
+        edges = np.arange(harness._CSV_CHUNK, part.size, harness._CSV_CHUNK)
+        assert np.any(part[edges] == part[edges - 1])
+        for kind, values in (("inner_product", part), ("column_norm", norms)):
             self._check(tmp_path, ["kind", "value"], [np.broadcast_to(kind, values.size), values],
                         [(kind, repr(float(v))) for v in values])
         # The whole files, written from the runs, against the expanded arrays.
         paths = harness.save_report(report, tmp_path / "r")
-        for key, kind, values in (("inner", "inner_product", report.inner_product_cdf),
-                                  ("norm", "column_norm", report.column_norm_cdf)):
+        for key, kind, values in (("inner", "inner_product", inner), ("norm", "column_norm", norms)):
             expanded = tmp_path / f"{key}.csv"
             harness._write_csv(expanded, ["kind", "value"],
                                [np.broadcast_to(kind, values.size), values])
             assert paths[key].read_bytes() == expanded.read_bytes()
 
     def test_each_run_formatted_once(self, tmp_path, monkeypatch):
+        # Each given row is formatted once, whether it stands for one line or for
+        # its run of ``repeats`` lines, and the kind is quoted once per file.
         kind, values = self._cdf_columns()
+        distinct, counts = np.unique(values, return_counts=True)
         quoted, lines = [], []
 
         def text_field(text):
             quoted.append(text)
             return csv_text_field(text)
 
-        def rows(chunk, quote, repeats):
-            out = csv_rows(chunk, quote, repeats)
-            lines.extend(out[0])
+        def rows(chunk, quote):
+            out = csv_rows(chunk, quote)
+            lines.extend(out)
             return out
 
         csv_text_field, csv_rows = harness._csv_text_field, harness._csv_rows
         monkeypatch.setattr(harness, "_csv_text_field", text_field)
         monkeypatch.setattr(harness, "_csv_rows", rows)
-        row_runs = 1 + np.count_nonzero(values[1:] != values[:-1])
-        chunks = -(-values.size // harness._CSV_CHUNK)
-        for path in ("a.csv", "b.csv"):  # the kind is quoted once per file
-            harness._write_csv(tmp_path / path, ["kind", "value"], [kind, values])
+        for path, columns, repeats in (("rows.csv", [kind, values], None),
+                                       ("runs.csv", [kind[:distinct.size], distinct], counts)):
+            harness._write_csv(tmp_path / path, ["kind", "value"], columns, repeats)
             assert quoted == ["inner_product"]
-            assert row_runs <= len(lines) <= row_runs + chunks
+            assert len(lines) == columns[1].size
             quoted.clear()
             lines.clear()
+        assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "runs.csv").read_bytes()
 
     def test_memory_bounded_by_one_chunk(self, tmp_path):
         kind, values = self._cdf_columns()
