@@ -37,6 +37,9 @@ class GridSpec:
             raise ValueError("grid sizes must be >= 1")
         if self.g_tau < 2:
             raise ValueError("g_tau must be >= 2 (delay grid needs two endpoints)")
+        # OMP holds complex arrays with one entry per atom.
+        if self.total * np.dtype(complex).itemsize > np.iinfo(np.intp).max:
+            raise ValueError(f"a grid of {self.total} atoms is too large for one array")
 
     @property
     def total(self) -> int:

@@ -185,20 +185,12 @@ def optimize(
     x = np.array(initial_blocks, dtype=complex)
     if x.ndim != 3:
         raise ValueError("initial blocks must have shape (K, Nt, M)")
-    if float(np.linalg.norm(x)) == 0.0:
-        raise DegenerateInputError("initial pilot variable is identically zero")
     if trace_every < 1:
         raise ValueError("trace_every must be >= 1")
     engine = CoherenceEngine(dicts)
 
     m = np.zeros_like(x)
     v = np.zeros(x.shape)
-    # Scratch for the in-place step; each update keeps the operands and the
-    # order of ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) |g|^2`` and
-    # ``x = x - lr m_hat / (sqrt(v_hat) + eps)``, so every value is unchanged.
-    step = np.empty_like(x)
-    denom = np.empty(x.shape)
-    denom_c = np.empty_like(x)  # complex copy: a mixed-type divide would allocate
     records: list[tuple[int, float, float, float, float]] = []
 
     # Pass t evaluates the iterate after t Adam steps; pass T, the final
@@ -213,19 +205,11 @@ def optimize(
             records.append((t, loss_val, f_term, g_term, float(np.linalg.norm(grad))))
         if t == cfg.iterations:
             break
-        m *= cfg.beta1
-        m += np.multiply(grad, 1.0 - cfg.beta1, out=step)
-        v *= cfg.beta2
-        np.square(np.abs(grad, out=denom), out=denom)
-        v += np.multiply(denom, 1.0 - cfg.beta2, out=denom)
-        np.divide(m, 1.0 - cfg.beta1 ** (t + 1), out=step)  # m_hat
-        np.divide(v, 1.0 - cfg.beta2 ** (t + 1), out=denom)  # v_hat
-        step *= cfg.learning_rate
-        np.sqrt(denom, out=denom)
-        denom += cfg.eps
-        denom_c[...] = denom
-        step /= denom_c
-        x -= step
+        m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
+        v = cfg.beta2 * v + (1.0 - cfg.beta2) * np.abs(grad) ** 2
+        m_hat = m / (1.0 - cfg.beta1 ** (t + 1))
+        v_hat = v / (1.0 - cfg.beta2 ** (t + 1))
+        x = x - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
 
     scaled = np.sqrt(total_power) / float(np.linalg.norm(x)) * x
     design = extract_allocation(scaled, cfg.zero_threshold_rel, total_power)

@@ -15,7 +15,7 @@ dictionary coherence from its dense Gram, the flat grid index of a
 path realization as sums of Kronecker (Khatri-Rao) columns. ``f_omega``
 is the engine's objective value alone, for tests that need no gradient.
 ``reference_optimize`` is the design loop with an out-of-place Adam step,
-which the library's in-place loop must match bit for bit.
+which the library's loop must match bit for bit.
 ``median_difference_ci`` is the paired bootstrap interval the end-to-end
 acceptance criterion is judged by. ``write_csv_rows`` is the row-wise
 ``csv.writer`` route the column-wise CSV writer must match byte for byte.

@@ -6,8 +6,8 @@ Each example runs one desk-profile command in-process with small overrides
 and an ``--out`` path that may be unusable. An exception escaping ``main``
 would reach the user as a traceback with exit code 1. The examples are
 derandomized and bounded, so the suite stays deterministic. The design
-whose pilot factor has a zero column is also checked on its own, and so is a
-config too large to hold in memory.
+whose pilot factor has a zero column is also checked on its own, and so are
+configs too large to hold in memory or to index.
 """
 
 import json
@@ -86,6 +86,15 @@ def test_config_too_large_for_memory_exits_2(tmp_path, monkeypatch, capsys, comm
     (tmp_path / "huge.cfg").write_text("g_tau = 100000\n")
     assert main([command[0], "--config", "huge.cfg", *command[1:]]) == 2
     assert "configuration error: Unable to allocate" in capsys.readouterr().err
+
+
+def test_config_too_large_to_index_exits_2(tmp_path, monkeypatch, capsys):
+    # g_tau = 2**62 is refused by the grid spec before any array is allocated;
+    # numpy would fail with "array is too big" instead of a MemoryError.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "huge.cfg").write_text(f"g_tau = {2**62}\n")
+    assert main(["design", "--profile", "desk", "--config", "huge.cfg", "--out", "d"]) == 2
+    assert "configuration error" in capsys.readouterr().err
 
 
 def _corrupted_design_text(data, payload):

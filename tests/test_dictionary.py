@@ -56,6 +56,17 @@ class TestMakeGrids:
             make_grids(GridSpec(g_theta=4, g_phi=4, g_tau=1), small_config())
 
 
+class TestGridSpec:
+    def test_grid_too_large_for_one_array_rejected(self):
+        # 16 bytes per complex entry: one atom past the largest indexable array
+        limit = np.iinfo(np.intp).max // np.dtype(complex).itemsize
+        assert GridSpec(g_theta=1, g_phi=1, g_tau=limit).total == limit
+        with pytest.raises(ValueError, match="too large"):
+            GridSpec(g_theta=1, g_phi=1, g_tau=limit + 1)
+        with pytest.raises(ValueError, match="too large"):
+            GridSpec(g_theta=16, g_phi=16, g_tau=2**62)
+
+
 class TestBuildDictionaries:
     def test_shapes(self):
         cfg = small_config()

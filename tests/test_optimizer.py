@@ -195,7 +195,7 @@ class TestOptimize:
         assert trace.iterations.tolist() == [0, 30, 60, 90, 99, 100]
 
 
-class TestInPlaceAdam:
+class TestAdamMatchesOracle:
     @pytest.mark.parametrize("trace_every, zeroed", [(1, False), (7, False), (1, True)])
     def test_desk_matches_out_of_place_oracle_bitwise(self, trace_every, zeroed):
         cfg = load_experiment_config("desk")
