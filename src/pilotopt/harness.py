@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import operator
@@ -522,9 +523,10 @@ def run_estimate(
 
     Per (method, SNR, trial): draw a channel with seed ``base_seed +
     trial``, synthesize the noisy measurement, solve with OMP, score NMSE.
-    Channels are shared across methods and SNRs at equal trial index, so
-    comparisons are paired. Writes ``trials.csv`` and ``summary.csv``; the
-    volatile per-trial timing column is emitted only when ``timing`` is on.
+    A trial draws its channel once and runs every cell on it, so
+    comparisons are paired; only running trials hold a channel. Writes
+    ``trials.csv`` and ``summary.csv``; the volatile per-trial timing
+    column is emitted only when ``timing`` is on.
     """
     designs: list[tuple[str, PilotDesign]] = []
     for p in design_paths:
@@ -556,41 +558,31 @@ def run_estimate(
     operators = {tag: build_sensing_matrix(d, dicts) for tag, d in designs}
     ev = cfg.evaluation
 
-    # One channel per trial index, shared by every method and SNR point.
-    channels = []
-    for trial in range(ev.num_trials):
-        realization = sample_channel(
-            sys_cfg, cfg.channel.num_paths, cfg.channel.rician_k_db, cfg.base_seed + trial
-        )
-        channels.append(assemble_channel(realization, sys_cfg))
-
     methods = [tag for tag, _ in designs]
     snrs = ev.snr_db_list
     nmse_values = np.empty((len(designs), len(snrs), ev.num_trials))
     elapsed_ms = np.empty_like(nmse_values)
 
-    def run_one(cell: tuple[int, int, int]) -> None:
-        i, j, trial = cell
-        tag, design = designs[i]
-        h = channels[trial]
-        sigma2 = snr_sigma2(
-            sys_cfg.total_power, sys_cfg.num_tx, sys_cfg.seq_len, len(design.allocation), snrs[j]
+    def run_trial(trial: int) -> None:
+        realization = sample_channel(
+            sys_cfg, cfg.channel.num_paths, cfg.channel.rician_k_db, cfg.base_seed + trial
         )
-        started = time.perf_counter()
-        y = synthesize_measurement(h, design, sigma2, (cfg.base_seed + trial, _NOISE_STREAM))
-        est = SOLVERS["omp"](y, operators[tag], ev.max_sparsity)
-        h_hat = reconstruct_channel(est, dicts)
-        nmse_values[cell] = nmse(h.stacked, h_hat.stacked)
-        elapsed_ms[cell] = (time.perf_counter() - started) * 1e3
+        h = assemble_channel(realization, sys_cfg)
+        for (i, (tag, design)), (j, snr) in itertools.product(enumerate(designs), enumerate(snrs)):
+            sigma2 = snr_sigma2(
+                sys_cfg.total_power, sys_cfg.num_tx, sys_cfg.seq_len, len(design.allocation), snr
+            )
+            started = time.perf_counter()
+            y = synthesize_measurement(h, design, sigma2, (cfg.base_seed + trial, _NOISE_STREAM))
+            est = SOLVERS["omp"](y, operators[tag], ev.max_sparsity)
+            h_hat = reconstruct_channel(est, dicts)
+            nmse_values[i, j, trial] = nmse(h.stacked, h_hat.stacked)
+            elapsed_ms[i, j, trial] = (time.perf_counter() - started) * 1e3
 
-    # Cells in (method, SNR, trial) order; each worker writes only its own.
-    cells = list(np.ndindex(nmse_values.shape))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_one, cells))
-    else:
-        for cell in cells:
-            run_one(cell)
+    # ``threads`` trials at once, each writing only its own cells; a failing
+    # trial's error reaches the caller and cancels the trials not yet started.
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(run_trial, range(ev.num_trials)))
 
     tags, snr_values = np.asarray(methods), np.asarray(snrs, dtype=float)
     method_idx, snr_idx, trial_idx = np.indices(nmse_values.shape).reshape(3, -1)

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import os
 import subprocess
@@ -32,7 +33,7 @@ from pilotopt import (
     run_sweep,
     save_design,
 )
-from pilotopt import harness
+from pilotopt import estimator, harness
 from pilotopt.cli import main
 
 from oracles import expand_runs, median_difference_ci, write_csv_rows
@@ -344,6 +345,41 @@ class TestRunEstimate:
         seq = run_estimate(cfg, [d], tmp_path / "s", threads=1)
         par = run_estimate(cfg, [d], tmp_path / "p", threads=2)
         assert seq["trials"].read_bytes() == par["trials"].read_bytes()
+
+    def test_memory_does_not_grow_with_trials(self, tmp_path):
+        # Only running trials hold a channel (262 KiB each on paper), so ten
+        # times the trials leaves the traced peak within 1 MiB.
+        cfg = load_experiment_config("paper")
+        design = run_baseline(cfg, 8, tmp_path / "design_b.json")
+
+        def peak(num_trials):
+            ev = replace(cfg.evaluation, snr_db_list=(10.0,), num_trials=num_trials)
+            tracemalloc.start()
+            try:
+                run_estimate(replace(cfg, evaluation=ev), [design], tmp_path / f"e{num_trials}")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(4)  # warm-up
+        assert peak(40) - peak(4) <= 1 << 20
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failing_trial_stops_the_run(self, tmp_path, monkeypatch, threads):
+        cfg = load_experiment_config("desk")
+        cfg = replace(cfg, evaluation=replace(cfg.evaluation, num_trials=50))
+        design = run_baseline(cfg, 8, tmp_path / "design_b.json")
+        solve, calls = estimator.SOLVERS["omp"], itertools.count(1)
+
+        def failing(*args):
+            if next(calls) == 3:
+                raise FloatingPointError("solve 3")
+            return solve(*args)
+
+        monkeypatch.setitem(estimator.SOLVERS, "omp", failing)
+        with pytest.raises(FloatingPointError, match="solve 3"):
+            run_estimate(cfg, [design], tmp_path / "e", threads=threads)
+        assert next(calls) - 1 < 250 / 2  # 5 SNRs x 50 trials = 250 solves
 
     # Runs a paper estimate; prints every OMP support and the NMSE values as JSON.
     _ESTIMATE_SCRIPT = """
