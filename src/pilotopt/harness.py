@@ -12,8 +12,6 @@ digits.
 from __future__ import annotations
 
 import csv
-import functools
-import io
 import itertools
 import json
 import math
@@ -337,29 +335,9 @@ def load_design(path: str | Path) -> PilotDesign:
     return design
 
 
-# Rows per chunk in _write_csv, and lines per write. At 1 024 rows the per-chunk
-# numpy work no longer dominates, and the writer's transient memory stays near
-# 0.36 MiB even when every row differs (a 2 000-row trace), so writing never sets
-# a run's peak RSS; 4 096-row chunks took 0.6 MiB there and raised a desk
-# design's peak RSS by 0.4 MiB.
+# Rows per chunk in _write_csv and _write_cdf, and lines per write in _write_runs;
+# one chunk bounds what a writer holds, whatever the row count.
 _CSV_CHUNK = 1 << 10
-
-
-def _csv_text_field(text: str) -> str:
-    buf = io.StringIO()
-    # A second, empty field keeps the csv module's rule for a lone empty
-    # field (written as ``""``) out of play; its "," and the "\n" are cut.
-    csv.writer(buf, lineterminator="\n").writerow([text, ""])
-    return buf.getvalue()[:-2]
-
-
-def _csv_rows(chunk: list[np.ndarray], quote) -> list[str]:
-    """One line per row of a chunk of columns: numbers as their ``repr``, text through ``quote``."""
-    fields = [map(quote if col.dtype.kind == "U" else repr, col.tolist()) for col in chunk]
-    if len(fields) == 1:  # as csv does, a row's lone empty field is "", not a blank line
-        fields[0] = (field or '""' for field in fields[0])
-    row = ",".join(["{}"] * len(fields)) + "\n"
-    return list(map(row.format, *fields))
 
 
 def _write_runs(fh, lines: list[str], ends: np.ndarray) -> None:
@@ -379,36 +357,39 @@ def _write_runs(fh, lines: list[str], ends: np.ndarray) -> None:
         fh.write("".join(map(operator.mul, lines[a:b + 1], map(operator.sub, cuts[1:], cuts))))
 
 
-def _write_csv(path: str | Path, header: list[str], columns, repeats=None) -> None:
-    """Write ``header`` and the equal-length ``columns`` as CSV, row ``i`` ``repeats[i]`` times.
+def _write_csv(path: str | Path, header: list[str], columns) -> None:
+    """Write ``header`` and the equal-length ``columns`` through ``csv.writer``, ``\n``-terminated.
 
-    Every CSV output goes through here, so all share the ``csv`` module's
-    default dialect (comma, ``QUOTE_MINIMAL``) with ``\n`` line endings.
-    A column is a sequence of numbers or of ``str``. Numbers are written as
-    their ``repr``, the shortest text that reads back to the same value and
-    what ``csv`` writes for a Python float or int. Text is quoted by the
-    ``csv`` module itself, once per distinct value in the file, so a value
-    holding ``,`` or ``"`` reads back unchanged. Columns are read
-    ``_CSV_CHUNK`` rows at a time through ``np.asarray``; ``_csv_rows``
-    formats each row once, and its line is repeated ``repeats[i]`` times
-    (once without ``repeats``), written at most ``_CSV_CHUNK`` lines at a
-    time. So memory stays bounded by one chunk whatever the row count and
-    the repeats. Callers pass rows already grouped: equal rows are not
-    looked for.
+    Columns are read ``_CSV_CHUNK`` rows at a time, so memory stays bounded
+    by one chunk whatever the row count.
     """
     if len(columns) != len(header):
         raise ValueError("one column per header field is required")
     n = len(columns[0]) if columns else 0
-    if any(len(col) != n for col in columns) or (repeats is not None and len(repeats) != n):
+    if any(len(col) != n for col in columns):
         raise ValueError("columns must have equal length")
-    quote = functools.cache(_csv_text_field)
     with open(path, "w", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
         for start in range(0, n, _CSV_CHUNK):
             rows = slice(start, start + _CSV_CHUNK)
-            chunk = [np.asarray(col[rows]) for col in columns]
-            reps = np.ones(len(chunk[0]), int) if repeats is None else repeats[rows]
-            _write_runs(fh, _csv_rows(chunk, quote), np.cumsum(reps))
+            writer.writerows(zip(*(np.asarray(col[rows]).tolist() for col in columns)))
+
+
+def _write_cdf(path: str | Path, kind: str, runs) -> None:
+    """Write a report CDF's (value, count) runs as ``kind,value`` rows, each ``count`` times.
+
+    Each run's line is formatted once and written through ``_write_runs``,
+    so the rows are never expanded. ``kind`` is a literal identifier that
+    needs no CSV quoting, and a float's ``repr`` is what ``csv`` writes.
+    """
+    values, counts = runs
+    with open(path, "w", newline="") as fh:
+        fh.write("kind,value\n")
+        for start in range(0, len(values), _CSV_CHUNK):
+            rows = slice(start, start + _CSV_CHUNK)
+            lines = [f"{kind},{v!r}\n" for v in values[rows].tolist()]
+            _write_runs(fh, lines, np.cumsum(counts[rows]))
 
 
 def save_trace(trace: OptimizationTrace, path: str | Path) -> None:
@@ -429,12 +410,8 @@ def save_report(report: CoherenceReport, out_dir: str | Path, stem: str = "") ->
         "norm": out / f"{prefix}column_norm_cdf.csv",
         "summary": out / f"{prefix}coherence_summary.json",
     }
-    for key, kind, (values, counts) in (("inner", "inner_product", report.inner_product_runs),
-                                        ("norm", "column_norm", report.column_norm_runs)):
-        # The paper inner-product CDF is 2.1 M rows from 129 k (value, count) runs,
-        # never expanded; the broadcast kind costs no memory and is quoted once.
-        _write_csv(paths[key], ["kind", "value"], [np.broadcast_to(kind, len(values)), values],
-                   repeats=counts)
+    _write_cdf(paths["inner"], "inner_product", report.inner_product_runs)
+    _write_cdf(paths["norm"], "column_norm", report.column_norm_runs)
     paths["summary"].write_text(json.dumps(report.summary_dict(), indent=2) + "\n")
     return paths
 

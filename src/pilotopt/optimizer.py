@@ -69,8 +69,8 @@ class OptimizerConfig:
             raise ValueError("beta1 and beta2 must lie in (0, 1)")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
-        if self.zero_threshold_rel <= 0:
-            raise ValueError("zero_threshold_rel must be positive")
+        if not 0 < self.zero_threshold_rel < 1:
+            raise ValueError("zero_threshold_rel must lie in (0, 1)")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -144,6 +144,8 @@ def extract_allocation(
     are hard-zeroed and the remaining blocks rescaled so their total power
     equals ``total_power``.
     """
+    if not 0 < zero_threshold_rel < 1:  # below 1, the largest block is always kept
+        raise ValueError("zero_threshold_rel must lie in (0, 1)")
     blocks = np.asarray(blocks, dtype=complex)
     if not np.all(np.isfinite(blocks)):
         raise ValueError("pilot blocks must be finite")

@@ -18,7 +18,8 @@ is the engine's objective value alone, for tests that need no gradient.
 which the library's loop must match bit for bit.
 ``median_difference_ci`` is the paired bootstrap interval the end-to-end
 acceptance criterion is judged by. ``write_csv_rows`` is the row-wise
-``csv.writer`` route the column-wise CSV writer must match byte for byte.
+``csv.writer`` route that the table writer ``harness._write_csv`` and the
+CDF writer ``harness._write_cdf`` must match byte for byte.
 """
 
 import csv

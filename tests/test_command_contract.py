@@ -7,7 +7,8 @@ and an ``--out`` path that may be unusable. An exception escaping ``main``
 would reach the user as a traceback with exit code 1. The examples are
 derandomized and bounded, so the suite stays deterministic. The design
 whose pilot factor has a zero column is also checked on its own, and so are
-configs too large to hold in memory or to index.
+configs too large to hold in memory or to index, and a zero threshold that
+would keep no subcarrier.
 """
 
 import json
@@ -95,6 +96,16 @@ def test_config_too_large_to_index_exits_2(tmp_path, monkeypatch, capsys):
     (tmp_path / "huge.cfg").write_text(f"g_tau = {2**62}\n")
     assert main(["design", "--profile", "desk", "--config", "huge.cfg", "--out", "d"]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["design", "--out", "d"],
+                                     ["sweep-lambda", "--out", "s", "--lambdas", "1"]])
+def test_threshold_keeping_no_subcarrier_exits_2(tmp_path, monkeypatch, capsys, command):
+    # At zero_threshold_rel = 1 no block norm exceeds the largest, so no subcarrier is kept.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "thr.cfg").write_text("iterations = 5\nzero_threshold_rel = 1\n")
+    assert main([command[0], "--config", "thr.cfg", *command[1:]]) == 2
+    assert "zero_threshold_rel" in capsys.readouterr().err
 
 
 def _corrupted_design_text(data, payload):

@@ -536,11 +536,11 @@ _CSV_POOLS = {
 
 
 class TestCsvWriter:
-    """The column-wise writer against the row-wise csv.writer route, byte for byte."""
+    """The table and CDF writers against the row-wise csv.writer route, byte for byte."""
 
-    def _check(self, tmp_path, header, columns, rows, repeats=None):
+    def _check(self, tmp_path, header, columns, rows):
         path = tmp_path / "out.csv"
-        harness._write_csv(path, header, columns, repeats)
+        harness._write_csv(path, header, columns)
         assert path.read_bytes() == _oracle_bytes(tmp_path, header, rows)
 
     def test_trace_matches_row_route(self, tiny_cfg, tmp_path):
@@ -634,7 +634,6 @@ class TestCsvWriter:
             self._check(tmp_path, ["method", "nmse"], [np.broadcast_to(tag, nums.size), nums],
                         [[tag, repr(float(v))] for v in nums])
         self._check(tmp_path, ["method"], [np.broadcast_to("", 3)], [[""]] * 3)
-        self._check(tmp_path, ["method"], [np.broadcast_to("", 2)], [[""]] * 6, repeats=[4, 2])
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_chunk_boundary(self, tmp_path, offset):
@@ -683,10 +682,19 @@ class TestCsvWriter:
                 columns.append(np.asarray(values[:n], dtype=dtype))
             for row, v in zip(rows, values):
                 row.append(repr(v) if kind == "float" else v)
-        repeats = data.draw(st.none() | st.lists(st.integers(1, 9), min_size=n, max_size=n))
-        if repeats is not None:
-            rows = [row for row, r in zip(rows, repeats) for _ in range(r)]
-        self._check(tmp_path, [f"c{i}" for i in range(len(columns))], columns, rows, repeats)
+        self._check(tmp_path, [f"c{i}" for i in range(len(columns))], columns, rows)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_cdf_runs_match_row_route(self, tmp_path, monkeypatch, data):
+        monkeypatch.setattr(harness, "_CSV_CHUNK", data.draw(st.integers(1, 7)))
+        values = sorted(data.draw(st.lists(st.sampled_from(_CSV_POOLS["float"][1]), max_size=40)))
+        counts = data.draw(st.lists(st.integers(1, 9), min_size=len(values), max_size=len(values)))
+        path = tmp_path / "cdf.csv"
+        harness._write_cdf(path, "inner_product", (np.asarray(values), np.asarray(counts)))
+        rows = [("inner_product", repr(v)) for v, c in zip(values, counts) for _ in range(c)]
+        assert path.read_bytes() == _oracle_bytes(tmp_path, ["kind", "value"], rows)
 
     @staticmethod
     def _cdf_columns():
@@ -716,31 +724,20 @@ class TestCsvWriter:
             assert paths[key].read_bytes() == expanded.read_bytes()
 
     def test_each_run_formatted_once(self, tmp_path, monkeypatch):
-        # Each given row is formatted once, whether it stands for one line or for
-        # its run of ``repeats`` lines, and the kind is quoted once per file.
+        # The CDF writer formats one line per (value, count) run, never one per row.
         kind, values = self._cdf_columns()
         distinct, counts = np.unique(values, return_counts=True)
-        quoted, lines = [], []
+        lines = []
 
-        def text_field(text):
-            quoted.append(text)
-            return csv_text_field(text)
+        def runs(fh, run_lines, ends):
+            lines.extend(run_lines)
+            write_runs(fh, run_lines, ends)
 
-        def rows(chunk, quote):
-            out = csv_rows(chunk, quote)
-            lines.extend(out)
-            return out
-
-        csv_text_field, csv_rows = harness._csv_text_field, harness._csv_rows
-        monkeypatch.setattr(harness, "_csv_text_field", text_field)
-        monkeypatch.setattr(harness, "_csv_rows", rows)
-        for path, columns, repeats in (("rows.csv", [kind, values], None),
-                                       ("runs.csv", [kind[:distinct.size], distinct], counts)):
-            harness._write_csv(tmp_path / path, ["kind", "value"], columns, repeats)
-            assert quoted == ["inner_product"]
-            assert len(lines) == columns[1].size
-            quoted.clear()
-            lines.clear()
+        write_runs = harness._write_runs
+        monkeypatch.setattr(harness, "_write_runs", runs)
+        harness._write_cdf(tmp_path / "runs.csv", "inner_product", (distinct, counts))
+        assert len(lines) == distinct.size
+        harness._write_csv(tmp_path / "rows.csv", ["kind", "value"], [kind, values])
         assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "runs.csv").read_bytes()
 
     def test_memory_bounded_by_one_chunk(self, tmp_path):
@@ -759,11 +756,10 @@ class TestCsvWriter:
         # Lines are written at most one chunk at a time, however many rows a value spans.
         report = coherence_report(paper_baseline[1], paper_baseline[0], 4)
         cases = {
-            "one_row": lambda path: harness._write_csv(
-                path, ["kind", "value"], [np.broadcast_to("k", 1), [0.5]], repeats=[10**6]),
-            "wide_runs": lambda path: harness._write_csv(
-                path, ["kind", "value"], [np.broadcast_to("k", 1024), np.arange(1024) / 7],
-                repeats=np.full(1024, 2048)),
+            "one_row": lambda path: harness._write_cdf(
+                path, "k", (np.asarray([0.5]), np.asarray([10**6]))),
+            "wide_runs": lambda path: harness._write_cdf(
+                path, "k", (np.arange(1024) / 7, np.full(1024, 2048))),
             "paper_report": lambda path: harness.save_report(report, path),
         }
         for name, write in cases.items():

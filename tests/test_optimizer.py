@@ -244,3 +244,11 @@ class TestExtractAllocation:
         x[0] = np.nan
         with pytest.raises(ValueError):
             extract_allocation(x, 1e-3, 1.0)
+
+    @pytest.mark.parametrize("threshold", [0.0, -1e-3, 1.0, 2.0])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        # At 1 or above no block norm exceeds the threshold, so nothing would be kept.
+        with pytest.raises(ValueError, match="zero_threshold_rel"):
+            extract_allocation(np.ones((3, 2, 2), dtype=complex), threshold, 1.0)
+        with pytest.raises(ValueError, match="zero_threshold_rel"):
+            OptimizerConfig(zero_threshold_rel=threshold)
