@@ -24,7 +24,6 @@ from .coherence import (
     SensingOperator,
     build_sensing_matrix,
     coherence_report,
-    mutual_coherence,
     welch_bound,
 )
 from .dictionary import DictionarySet, GridSpec, build_dictionaries, make_grids

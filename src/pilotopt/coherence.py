@@ -22,8 +22,8 @@ The weights ``w_d[k] = conj(b_k[d]) b_k[0]`` come from the dictionary set,
 which checks the grid once (``DictionarySet.delay_weights``). The design
 loop's engine sums the rows in (Nt, Nt) antenna space; everywhere else
 ``build_sensing_matrix`` sums them from explicit column products over the
-allocated subcarriers, and the report and ``mutual_coherence`` read them
-off its operator.
+allocated subcarriers, and ``coherence_report``, the one reader of their
+normalized form, reads them off its operator.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "SensingOperator",
     "build_sensing_matrix",
     "CoherenceEngine",
-    "mutual_coherence",
     "welch_bound",
     "coherence_report",
 ]
@@ -344,30 +343,6 @@ class CoherenceEngine:
         return float(v_p ** (1.0 / p)) * math.sqrt(scale), v_p, vgrad
 
 
-def _normalized_rows(design: PilotDesign, dicts: DictionarySet) -> tuple:
-    """Normalized Gram rows of both factors of the design's sensing operator, diagonals zeroed.
-
-    Returns ``(rows, ar_gram, top, n)``: ``rows[d] = |c_d| / (n n^T)``, shape
-    (G_tau, G_phi, G_phi), for the Omega column norms ``n``; the normalized
-    A_r Gram; the largest entry of either, which is the largest
-    off-diagonal normalized Gram entry of ``Omega kron A_r``. Omega Gram
-    entry ``((a, f), (b, f'))`` has magnitude ``rows[a - b, f, f']`` for ``a
-    >= b`` and ``rows[b - a, f', f]`` otherwise. The diagonals are exactly 1
-    by definition; zeroing them keeps their rounding out of every power.
-    """
-    op = build_sensing_matrix(design, dicts)
-    rows = np.abs(op.gram_rows) / np.outer(op.omega_norms, op.omega_norms)
-    ar_gram = np.abs(op.ar_gram) / np.outer(op.ar_norms, op.ar_norms)
-    np.fill_diagonal(rows[0], 0.0)
-    np.fill_diagonal(ar_gram, 0.0)
-    return rows, ar_gram, max(float(rows.max()), float(ar_gram.max())), op.omega_norms
-
-
-def mutual_coherence(design: PilotDesign, dicts: DictionarySet) -> float:
-    """Largest normalized inner product of distinct ``Psi`` columns, from the sensing operator's rows."""
-    return min(_normalized_rows(design, dicts)[2], 1.0)
-
-
 def welch_bound(n_obs: int, n_atoms: int) -> float:
     """Lower bound sqrt((G - N) / (N (G - 1))) on mutual coherence; 0 if G <= N."""
     if n_atoms < 2:
@@ -435,19 +410,33 @@ def coherence_report(design: PilotDesign, dicts: DictionarySet, p: int) -> Coher
     ``G_tau`` times. Larger factors get a seeded uniform subsample of
     ``_PAIR_SUBSAMPLE_SIZE`` pairs instead, each counted once.
 
-    ``nu_p`` sums off-diagonal pairs alone: ``nu_p^p = O A + O G + N A`` for
-    the factors' off-diagonal power sums ``O`` and ``A`` over ``N`` and ``G``
-    columns, each over entries divided by the largest, so no power overflows.
+    It is the one reader of those rows: ``rows[d] = |c_d| / (n n^T)`` for
+    the Omega column norms ``n``, so Omega Gram entry ``((a, f), (b, f'))``
+    has magnitude ``rows[a - b, f, f']`` for ``a >= b`` and ``rows[b - a, f',
+    f]`` otherwise. The diagonals of both normalized Grams are 1 by
+    definition; zeroing them keeps their rounding out of every power, and
+    ``mu`` is the largest entry left. ``nu_p`` sums off-diagonal pairs
+    alone: ``nu_p^p = O A + O G + N A`` for the factors' off-diagonal power
+    sums ``O`` and ``A`` over ``N`` and ``G`` columns, each over entries
+    divided by the largest, so no power overflows. With every off-diagonal
+    entry 0, as for an orthonormal ``Psi``, both are 0.
     """
     _require_even_p(p)
-    rows, ar_gram, top, norms = _normalized_rows(design, dicts)
-    mu = min(top, 1.0)
+    op = build_sensing_matrix(design, dicts)
+    norms = op.omega_norms
+    rows = np.abs(op.gram_rows) / np.outer(norms, norms)
+    ar_gram = np.abs(op.ar_gram) / np.outer(op.ar_norms, op.ar_norms)
+    del op  # free its complex rows before the CDF sort (paper peak: about 6 MiB, not 8)
+    np.fill_diagonal(rows[0], 0.0)
+    np.fill_diagonal(ar_gram, 0.0)
+    top = max(float(rows.max()), float(ar_gram.max()))
+    mu, scale = min(top, 1.0), top or 1.0
     g_tau, g_phi, _ = rows.shape
     n_cols = g_tau * g_phi
     n_obs = dicts.num_rx * design.seq_len * len(design.allocation)
     n_atoms = n_cols * ar_gram.shape[0]
-    o_sum = float(_pair_multiplicity(g_tau) @ np.sum((rows / top) ** p, axis=(1, 2)))
-    a_sum = float(np.sum((ar_gram / top) ** p))
+    o_sum = float(_pair_multiplicity(g_tau) @ np.sum((rows / scale) ** p, axis=(1, 2)))
+    a_sum = float(np.sum((ar_gram / scale) ** p))
     nu_scaled = o_sum * a_sum * mu**p + o_sum * ar_gram.shape[0] + n_cols * a_sum
     if n_cols * n_cols <= _DENSE_ENTRY_CAP:
         upper = rows[0][np.triu_indices(g_phi, k=1)]
@@ -460,7 +449,7 @@ def coherence_report(design: PilotDesign, dicts: DictionarySet, p: int) -> Coher
         counts = np.ones(inner.size, dtype=np.int64)
     return CoherenceReport(
         mutual_coherence=mu,
-        generalized=float(top * nu_scaled ** (1.0 / p)),
+        generalized=float(scale * nu_scaled ** (1.0 / p)),
         p=p,
         welch=welch_bound(n_obs, n_atoms),
         n_obs=n_obs,

@@ -64,10 +64,8 @@ def synthesize_measurement(
     k_total, n_r, n_t = h.per_subcarrier.shape
     if k_total != design.num_subcarriers or n_t != design.num_tx:
         raise ValueError("channel and design dimensions do not match")
-    parts = [
-        (h.per_subcarrier[k] @ design.blocks[k]).ravel(order="F") for k in design.allocation
-    ]
-    y = np.concatenate(parts)
+    alloc = list(design.allocation)
+    y = np.matmul(h.per_subcarrier[alloc], design.blocks[alloc]).transpose(0, 2, 1).ravel()
     if sigma2 > 0:
         rng = np.random.default_rng(rng_seed)
         noise = np.sqrt(sigma2 / 2.0) * (

@@ -31,7 +31,6 @@ from .coherence import (
     PilotDesign,
     build_sensing_matrix,
     coherence_report,
-    mutual_coherence,
 )
 from .dictionary import GridSpec, build_dictionaries
 from .errors import ConfigError
@@ -455,10 +454,8 @@ def make_baseline_design(cfg: ExperimentConfig, target_q: int, seed) -> PilotDes
     rng = np.random.default_rng(seed)
     allocation = tuple(sorted(int(v) for v in rng.choice(k, size=target_q, replace=False)))
     blocks = np.zeros((k, sys_cfg.num_tx, sys_cfg.seq_len), dtype=complex)
-    for idx in allocation:
-        blocks[idx] = rng.standard_normal((sys_cfg.num_tx, sys_cfg.seq_len)) + 1j * rng.standard_normal(
-            (sys_cfg.num_tx, sys_cfg.seq_len)
-        )
+    draws = rng.standard_normal((target_q, 2, sys_cfg.num_tx, sys_cfg.seq_len))  # per block: re, im
+    blocks[list(allocation)] = draws[:, 0] + 1j * draws[:, 1]
     power = float(np.sum(np.abs(blocks) ** 2))
     blocks *= np.sqrt(sys_cfg.total_power / power)
     return PilotDesign(
@@ -633,7 +630,8 @@ def run_sweep(
     """Optimize once per penalty weight; persist designs and a sweep table.
 
     Run ``i`` starts from ``gaussian_init`` with seed ``(opt_seed, i)``. Each
-    row is ``(lambda_bar, allocation_size, mutual_coherence, design_file)``.
+    row is ``(lambda_bar, allocation_size, mutual_coherence, design_file)``,
+    the coherence being the ``mutual`` of the design's ``coherence_report``.
     With ``target_q``, ``selected`` is the index of the row whose allocation
     size is closest (ties: smaller coherence, then the earlier row), and
     ``sweep_summary.json`` names its design file.
@@ -657,7 +655,7 @@ def run_sweep(
         )
         name = f"design_lambda_{i}.json"
         save_design(design, out / name)
-        mu = mutual_coherence(design, dicts)
+        mu = coherence_report(design, dicts, cfg.optimizer.p).mutual_coherence
         rows.append((lam, len(design.allocation), mu, name))
     table_path = out / "sweep.csv"
     _write_csv(

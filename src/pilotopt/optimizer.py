@@ -105,7 +105,8 @@ def _gradient(
 
     f_val, v_p, vgrad = engine.f_value_and_vgrad(blocks, cfg.p)
     f_term = f_val / total_sq
-    grad = f_term * (vgrad / (cfg.p * v_p) - blocks / total_sq)
+    # Complex over real: numpy divides as a * (1/d), so the product has the same bits.
+    grad = f_term * (vgrad * (1.0 / (cfg.p * v_p)) - blocks * (1.0 / total_sq))
 
     g_term = 0.0
     if cfg.lambda_bar > 0:
@@ -209,9 +210,9 @@ def optimize(
             break
         m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
         v = cfg.beta2 * v + (1.0 - cfg.beta2) * np.abs(grad) ** 2
-        m_hat = m / (1.0 - cfg.beta1 ** (t + 1))
+        m_hat = m * (1.0 / (1.0 - cfg.beta1 ** (t + 1)))  # m / (1 - b1^(t+1)), bit for bit
         v_hat = v / (1.0 - cfg.beta2 ** (t + 1))
-        x = x - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        x = x - cfg.learning_rate * m_hat * (1.0 / (np.sqrt(v_hat) + cfg.eps))
 
     scaled = np.sqrt(total_power) / float(np.linalg.norm(x)) * x
     design = extract_allocation(scaled, cfg.zero_threshold_rel, total_power)

@@ -14,8 +14,10 @@ dictionary coherence from its dense Gram, the flat grid index of a
 (delay, AoD, AoA) tuple, the channel of a virtual-gain vector and of a
 path realization as sums of Kronecker (Khatri-Rao) columns. ``f_omega``
 is the engine's objective value alone, for tests that need no gradient.
-``reference_optimize`` is the design loop with an out-of-place Adam step,
-which the library's loop must match bit for bit.
+``reference_optimize`` is the design loop with an out-of-place Adam step
+and every complex-by-real scaling, in it and in ``reference_gradient``,
+written as a quotient; the library's loop, which multiplies by
+reciprocals, must match it bit for bit.
 ``median_difference_ci`` is the paired bootstrap interval the end-to-end
 acceptance criterion is judged by. ``write_csv_rows`` is the row-wise
 ``csv.writer`` route that the table writer ``harness._write_csv`` and the
@@ -32,12 +34,13 @@ from pilotopt import (
     OptimizationTrace,
     PilotDesign,
     SparseEstimate,
+    block_penalty,
     delay_response,
     extract_allocation,
     steering_vector,
 )
 from pilotopt.coherence import _DENSE_ENTRY_CAP
-from pilotopt.optimizer import _gradient
+from pilotopt.optimizer import _BLOCK_NORM_FLOOR
 
 
 class CapacityError(RuntimeError):
@@ -254,6 +257,25 @@ def full_gram_value_and_vgrad(blocks, dicts, p):
     return float(v_p ** (1.0 / p)), v_p, vgrad
 
 
+def reference_gradient(blocks, engine, cfg):
+    """The design loss's Wirtinger gradient and terms, with the quotients of its formula."""
+    total_sq = float(np.vdot(blocks, blocks).real)
+    total = np.sqrt(total_sq)
+    f_val, v_p, vgrad = engine.f_value_and_vgrad(blocks, cfg.p)
+    f_term = f_val / total_sq
+    grad = f_term * (vgrad / (cfg.p * v_p) - blocks / total_sq)
+    g_term = 0.0
+    if cfg.lambda_bar > 0:
+        norms = np.linalg.norm(blocks, axis=(1, 2))
+        g_val = block_penalty(blocks, cfg.q)
+        g_term = cfg.lambda_bar * g_val / total
+        safe = np.maximum(norms, _BLOCK_NORM_FLOOR)
+        ratio = np.where(norms > 0, (safe / g_val) ** cfg.q / safe**2, 0.0)
+        coeff = (ratio - 1.0 / total_sq) * (g_val / (2.0 * total))
+        grad = grad + cfg.lambda_bar * coeff[:, None, None] * blocks
+    return grad, f_term + g_term, f_term, g_term
+
+
 def reference_optimize(initial_blocks, dicts, cfg, total_power, trace_every=1):
     """``optimize`` with each Adam update written out of place, as in its formulas."""
     x = np.array(initial_blocks, dtype=complex)
@@ -262,7 +284,7 @@ def reference_optimize(initial_blocks, dicts, cfg, total_power, trace_every=1):
     v = np.zeros(x.shape)
     records = []
     for t in range(cfg.iterations + 1):
-        grad, loss_val, f_term, g_term = _gradient(x, engine, cfg)
+        grad, loss_val, f_term, g_term = reference_gradient(x, engine, cfg)
         if t % trace_every == 0 or t >= cfg.iterations - 1:
             records.append((t, loss_val, f_term, g_term, float(np.linalg.norm(grad))))
         if t == cfg.iterations:

@@ -30,7 +30,6 @@ from pilotopt import (
     loss,
     loss_gradient,
     make_baseline_design,
-    mutual_coherence,
     nmse,
     omp_solve,
     optimize,
@@ -309,7 +308,7 @@ def _orthogonal_instance():
 def test_criterion_07_omp_exactness():
     cfg, spec, dicts, design = _orthogonal_instance()
     op = build_sensing_matrix(design, dicts)
-    mu = mutual_coherence(design, dicts)
+    mu = coherence_report(design, dicts, 4).mutual_coherence
     rng = np.random.default_rng(707)
     worst_nmse = 0.0
     support_ok = True

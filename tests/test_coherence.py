@@ -1,10 +1,12 @@
+import json
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pilotopt import coherence
+from pilotopt import coherence, harness
 from pilotopt import (
     CoherenceEngine,
     DegenerateInputError,
@@ -21,7 +23,6 @@ from pilotopt import (
     load_experiment_config,
     loss,
     make_baseline_design,
-    mutual_coherence,
     optimize,
     welch_bound,
 )
@@ -287,7 +288,6 @@ class TestCoherenceEngine:
             CoherenceEngine,
             lambda d: build_sensing_matrix(design, d),
             lambda d: coherence_report(design, d, 4),
-            lambda d: mutual_coherence(design, d),
         ):
             with pytest.raises(ValueError, match="uniform"):
                 consumer(bad)
@@ -310,7 +310,6 @@ class TestCoherenceEngine:
         mu = max(normalized_omega_gram(design, dicts).max(), dense_mutual_coherence(dicts.a_r))
         report = coherence_report(design, dicts, 4)
         assert report.mutual_coherence == pytest.approx(mu, rel=1e-12)
-        assert mutual_coherence(design, dicts) == report.mutual_coherence
 
 
 class TestFPsiDecomposition:
@@ -379,16 +378,20 @@ def _single_aoa_design(seed):
     return design, replace(dicts, a_r=np.ones((1, 1)))
 
 
+def _orthonormal_design():
+    """Two subcarriers with orthogonal delay columns and identity pilots and
+    steering: Omega has orthogonal columns, so Psi's normalized Gram is I_8."""
+    dicts = DictionarySet(
+        theta_grid=np.zeros(2), phi_grid=np.zeros(2), tau_grid=np.arange(2.0),
+        a_r=np.eye(2), a_t=np.eye(2), b=np.array([[1.0, 1.0], [1.0, -1.0]]),
+    )
+    return PilotDesign(blocks=np.stack([np.eye(2)] * 2), allocation=(0, 1), total_power=4.0), dicts
+
+
 class TestScalarCoherenceMetrics:
     def test_identity_has_zero_coherence(self):
-        # Two subcarriers with orthogonal delay columns and identity pilots and
-        # steering: Omega has orthogonal columns, so Psi's normalized Gram is I_8.
-        dicts = DictionarySet(
-            theta_grid=np.zeros(2), phi_grid=np.zeros(2), tau_grid=np.arange(2.0),
-            a_r=np.eye(2), a_t=np.eye(2), b=np.array([[1.0, 1.0], [1.0, -1.0]]),
-        )
-        design = PilotDesign(blocks=np.stack([np.eye(2)] * 2), allocation=(0, 1), total_power=4.0)
-        assert mutual_coherence(design, dicts) == 0.0
+        design, dicts = _orthonormal_design()
+        assert coherence_report(design, dicts, 4).mutual_coherence == 0.0
         assert dense_mutual_coherence(np.eye(5)) == 0.0
         assert dense_generalized_coherence(np.eye(5), 4) == 0.0
 
@@ -400,7 +403,8 @@ class TestScalarCoherenceMetrics:
         design, dicts = _single_aoa_design(8)
 
         def scaled_mu(s):
-            return mutual_coherence(replace(design, blocks=s * design.blocks), dicts)
+            scaled = replace(design, blocks=s * design.blocks)
+            return coherence_report(scaled, dicts, 4).mutual_coherence
 
         base = scaled_mu(1.0)
         assert base > 0.0
@@ -415,11 +419,11 @@ class TestScalarCoherenceMetrics:
         dicts = build_dictionaries(cfg.grids, cfg.system)
         broadside = cfg.grids.g_phi // 2  # the AoD column whose steering weights are all equal
         with pytest.raises(DegenerateInputError, match=f"column {broadside} of the pilot factor"):
-            mutual_coherence(_zero_column_design(cfg), dicts)
+            coherence_report(_zero_column_design(cfg), dicts, 4)
         a_r = dicts.a_r.copy()
         a_r[:, 1] = 0.0
         with pytest.raises(DegenerateInputError, match="column 1 of the AoA dictionary"):
-            mutual_coherence(make_baseline_design(cfg, 4, 0), replace(dicts, a_r=a_r))
+            coherence_report(make_baseline_design(cfg, 4, 0), replace(dicts, a_r=a_r), 4)
 
     def test_generalized_decreases_towards_mutual(self):
         rng = np.random.default_rng(9)
@@ -443,14 +447,14 @@ class TestScalarCoherenceMetrics:
         design, dicts = _single_aoa_design(10)
         report = coherence_report(design, dicts, 4)
         assert (report.n_obs, report.n_atoms) == (6, 32)
-        assert welch_bound(6, 32) <= mutual_coherence(design, dicts)
+        assert welch_bound(6, 32) <= report.mutual_coherence
 
 
 class TestSensingOperator:
     def test_only_builder_outside_the_design_loop(self, monkeypatch):
-        # The sensing build, the report and mutual_coherence share one
-        # builder and never construct the design loop's engine; the
-        # uniform-grid check runs once per dictionary set.
+        # The sensing build and the report share one builder and never
+        # construct the design loop's engine; the uniform-grid check runs
+        # once per dictionary set.
         cfg = load_experiment_config("desk")
         dicts = build_dictionaries(cfg.grids, cfg.system)
         design = make_baseline_design(cfg, 4, 0)
@@ -461,7 +465,6 @@ class TestSensingOperator:
         monkeypatch.setattr(CoherenceEngine, "__init__", refuse)
         op = build_sensing_matrix(design, dicts)
         report = coherence_report(design, dicts, 4)
-        assert mutual_coherence(design, dicts) == report.mutual_coherence
         assert (report.n_obs, report.n_atoms) == op.shape
         weights = dicts.delay_weights
         assert dicts.delay_weights is weights
@@ -558,7 +561,7 @@ class TestSensingOperator:
         _, _, dicts, blocks = small_setup(18)
         design = PilotDesign(blocks=blocks, allocation=tuple(range(8)), total_power=1.0)
         dense = dense_mutual_coherence(dense_psi(design, dicts))
-        assert mutual_coherence(design, dicts) == pytest.approx(dense, abs=1e-12)
+        assert coherence_report(design, dicts, 4).mutual_coherence == pytest.approx(dense, abs=1e-12)
 
 
 class TestFactoredOperator:
@@ -618,6 +621,18 @@ class TestCoherenceReport:
         assert expand_runs(report.inner_product_runs).max() < 1e-12
         np.testing.assert_allclose(norms, norms[0], rtol=1e-12)
 
+    def test_orthonormal_psi_scores_zero(self, tmp_path):
+        # Every off-diagonal normalized entry is 0, the largest of which
+        # scales the power sums: nu_p is 0 too, not 0/0.
+        design, dicts = _orthonormal_design()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = coherence_report(design, dicts, 4)
+        assert report.mutual_coherence == report.generalized == 0.0
+        text = harness.save_report(report, tmp_path)["summary"].read_text()
+        assert "NaN" not in text
+        assert json.loads(text)["generalized_p"] == 0.0
+
     def test_near_zero_column_keeps_inner_products_at_most_one(self):
         # Zero-mean pilot columns null the broadside Omega column up to
         # rounding. Rows wrapped in antenna space carry rounding relative to
@@ -664,7 +679,6 @@ class TestCoherenceReport:
                 assert report.mutual_coherence == pytest.approx(
                     dense_mutual_coherence(psi), abs=1e-12
                 )
-                assert report.mutual_coherence == mutual_coherence(design, dicts)
 
     def test_generalized_excludes_the_diagonal_at_large_p(self):
         # The normalized diagonals are 1 only up to rounding, which a large
@@ -724,7 +738,10 @@ class TestCoherenceReport:
 def _assert_runs_expand_to_oracle(design, dicts):
     """Both CDFs' runs expand bit for bit to the sorted entry-by-entry oracle."""
     report = coherence_report(design, dicts, 4)
-    rows, _, _, norms = coherence._normalized_rows(design, dicts)
+    op = build_sensing_matrix(design, dicts)
+    norms = op.omega_norms
+    rows = np.abs(op.gram_rows) / np.outer(norms, norms)
+    np.fill_diagonal(rows[0], 0.0)
     n_cols = rows.shape[0] * rows.shape[1]
     for runs, expected in zip((report.inner_product_runs, report.column_norm_runs),
                               expanded_cdfs(rows, norms)):

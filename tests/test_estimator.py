@@ -14,9 +14,9 @@ from pilotopt import (
     assemble_channel,
     build_dictionaries,
     build_sensing_matrix,
+    coherence_report,
     load_experiment_config,
     make_baseline_design,
-    mutual_coherence,
     nmse,
     omp_solve,
     reconstruct_channel,
@@ -110,6 +110,17 @@ class TestSynthesizeMeasurement:
             y(both) - noise, (y(h1) - noise) + (y(h2) - noise), atol=1e-10
         )
 
+    @pytest.mark.parametrize("profile", ["desk", "paper"])
+    def test_matches_per_subcarrier_loop_bitwise(self, profile):
+        cfg = load_experiment_config(profile)
+        s = cfg.system
+        h = assemble_channel(sample_channel(s, cfg.channel.num_paths, cfg.channel.rician_k_db, 3), s)
+        for q in (1, s.num_subcarriers // 8, s.num_subcarriers):
+            design = make_baseline_design(cfg, q, 5)
+            loop = np.concatenate([(h.per_subcarrier[k] @ design.blocks[k]).ravel(order="F")
+                                   for k in design.allocation])
+            assert synthesize_measurement(h, design, 0.0, 0).tobytes() == loop.tobytes()
+
     def test_dimension_mismatch_rejected(self):
         cfg, spec, dicts, design = orthogonal_setup()
         other = small_config(num_tx=3, seq_len=3)
@@ -142,7 +153,7 @@ class TestOmpSolve:
     def test_two_sparse_exact_under_low_coherence(self):
         cfg, spec, dicts, design = orthogonal_setup()
         op = build_sensing_matrix(design, dicts)
-        assert mutual_coherence(design, dicts) < 1.0 / 3.0
+        assert coherence_report(design, dicts, 4).mutual_coherence < 1.0 / 3.0
         rng = np.random.default_rng(3)
         for _ in range(5):
             support = sorted(int(v) for v in rng.choice(spec.total, 2, replace=False))

@@ -275,6 +275,23 @@ class TestBaseline:
         cfg = load_experiment_config("desk")
         assert len(make_baseline_design(cfg, 9, 3).allocation) == 9
 
+    @pytest.mark.parametrize("target_q", [1, 8, 64])
+    def test_matches_per_block_draws(self, target_q):
+        # One draw per block, real part then imaginary, in allocation order.
+        cfg = load_experiment_config("paper")
+        s = cfg.system
+        rng = np.random.default_rng(17)
+        allocation = sorted(int(v) for v in rng.choice(s.num_subcarriers, target_q, replace=False))
+        blocks = np.zeros((s.num_subcarriers, s.num_tx, s.seq_len), dtype=complex)
+        for k in allocation:
+            blocks[k] = rng.standard_normal((s.num_tx, s.seq_len)) + 1j * rng.standard_normal(
+                (s.num_tx, s.seq_len)
+            )
+        blocks *= np.sqrt(s.total_power / float(np.sum(np.abs(blocks) ** 2)))
+        design = make_baseline_design(cfg, target_q, 17)
+        assert design.allocation == tuple(allocation)
+        assert design.blocks.tobytes() == blocks.tobytes()
+
     def test_oversized_target_rejected(self):
         cfg = load_experiment_config("desk")
         with pytest.raises(ValueError):
@@ -497,6 +514,17 @@ class TestRunSweep:
             assert (tmp_path / "s" / row["design_file"]).exists()
         meta = json.loads((tmp_path / "s" / "sweep_summary.json").read_text())
         assert meta["selected"] in {row["design_file"] for row in rows}
+
+    def test_coherence_is_each_design_reports_mutual(self, tiny_cfg, tmp_path):
+        run_sweep(tiny_cfg, [0.0, 1.5, 3.0], tmp_path / "s")
+        dicts = build_dictionaries(tiny_cfg.grids, tiny_cfg.system)
+        with open(tmp_path / "s" / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 3
+        for row in rows:
+            design = load_design(tmp_path / "s" / row["design_file"])
+            report = coherence_report(design, dicts, tiny_cfg.optimizer.p)
+            assert float(row["mutual_coherence"]) == report.mutual_coherence
 
     def test_empty_list_rejected(self, tiny_cfg, tmp_path):
         with pytest.raises(ValueError):

@@ -205,9 +205,22 @@ class TestAdamMatchesOracle:
         if zeroed:
             x0[::3] = 0.0
         opt = replace(cfg.optimizer, iterations=300, lambda_bar=1.5)
-        design, trace = optimize(x0, dicts, opt, s.total_power, trace_every=trace_every)
-        ref_design, ref_trace = reference_optimize(x0, dicts, opt, s.total_power, trace_every)
-        np.testing.assert_array_equal(design.blocks, ref_design.blocks)
+        self.assert_matches_oracle(x0, dicts, opt, s.total_power, trace_every)
+
+    def test_paper_shape_matches_out_of_place_oracle_bitwise(self):
+        # The (64, 32, 8) blocks where multiplying by reciprocals pays.
+        cfg = load_experiment_config("paper")
+        dicts = build_dictionaries(cfg.grids, cfg.system)
+        s = cfg.system
+        x0 = gaussian_init(s.num_subcarriers, s.num_tx, s.seq_len, 5)
+        opt = replace(cfg.optimizer, iterations=5)
+        self.assert_matches_oracle(x0, dicts, opt, s.total_power, 1)
+
+    @staticmethod
+    def assert_matches_oracle(x0, dicts, opt, total_power, trace_every):
+        design, trace = optimize(x0, dicts, opt, total_power, trace_every=trace_every)
+        ref_design, ref_trace = reference_optimize(x0, dicts, opt, total_power, trace_every)
+        assert design.blocks.tobytes() == ref_design.blocks.tobytes()
         assert design.allocation == ref_design.allocation
         for name in ("iterations", "loss", "f_term", "g_term", "grad_norm"):
             np.testing.assert_array_equal(getattr(trace, name), getattr(ref_trace, name))
