@@ -191,10 +191,14 @@ class SensingOperator:
 
 
 def _gram_rows(r: np.ndarray, w_t: np.ndarray) -> np.ndarray:
-    """Rows ``c_d = sum_k w_t[d, k] conj(r_k) r_k^T`` (G_tau, G_phi, G_phi) from explicit columns ``r_k``."""
+    """Rows ``c_d = sum_k w_t[d, k] conj(r_k) r_k^T`` (G_tau, G_phi, G_phi) from explicit columns ``r_k``,
+    eight AoD rows at a time, so the (Q, G_phi, G_phi) column products are never held whole."""
     q, g_phi, _ = r.shape
-    p_mat = np.matmul(r.conj(), r.transpose(0, 2, 1))  # (Q, G_phi, G_phi)
-    return (w_t @ p_mat.reshape(q, g_phi * g_phi)).reshape(-1, g_phi, g_phi)
+    rows = np.empty((w_t.shape[0], g_phi, g_phi), dtype=complex)
+    for f in range(0, g_phi, 8):
+        p_mat = np.matmul(r[:, f : f + 8].conj(), r.transpose(0, 2, 1))  # (Q, <= 8, G_phi)
+        rows[:, f : f + 8] = (w_t @ p_mat.reshape(q, -1)).reshape(len(w_t), -1, g_phi)
+    return rows
 
 
 def _pair_multiplicity(g_tau: int) -> np.ndarray:

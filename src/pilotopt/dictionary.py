@@ -84,15 +84,17 @@ class DictionarySet:
         hold all of them; computed once per dictionary set, which refuses a
         grid whose ``W`` is not Toeplitz in ``(a, b)``.
         """
-        w = self.b.conj()[:, :, None] * self.b[:, None, :]  # (K, G_tau, G_tau)
-        w_d = w[:, :, 0].copy()
-        d = np.subtract.outer(np.arange(w.shape[1]), np.arange(w.shape[1]))
-        lag = w_d[:, np.abs(d)]
+        b, g_tau = self.b, self.b.shape[1]
+        w_d = b.conj() * b[:, :1]
         # Delay phases reach about pi * K radians (at most K taps), and their
         # roundoff grows with them: 1e-12 alone refuses uniform grids from K ~ 1500.
         tol = max(1e-12, 16 * np.finfo(float).eps * self.num_subcarriers)
-        if np.max(np.abs(w - np.where(d >= 0, lag, lag.conj())), initial=0.0) > tol:
-            raise ValueError("delay dictionary is not on a uniform grid (W is not Toeplitz)")
+        # Lag by lag, never forming W: W[k, a + d, a] must equal w_d[k, d], W[k, a, a + d] its conjugate.
+        for d in range(g_tau):
+            below = b[:, d:].conj() * b[:, : g_tau - d] - w_d[:, d, None]
+            above = b[:, : g_tau - d].conj() * b[:, d:] - w_d[:, d, None].conj()
+            if max(np.max(np.abs(below)), np.max(np.abs(above))) > tol:
+                raise ValueError("delay dictionary is not on a uniform grid (W is not Toeplitz)")
         w_d.flags.writeable = False
         return w_d
 

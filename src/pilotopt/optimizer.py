@@ -98,7 +98,7 @@ def _gradient(
     blocks: np.ndarray, engine: CoherenceEngine, cfg: OptimizerConfig
 ) -> tuple[np.ndarray, float, float, float]:
     """Wirtinger gradient dL/dconj(X) plus the current loss terms."""
-    total_sq = float(np.vdot(blocks, blocks).real)
+    total_sq = float(np.sum(np.abs(blocks) ** 2))
     if total_sq == 0.0:
         raise DegenerateInputError("pilot variable is identically zero")
     total = np.sqrt(total_sq)
@@ -205,7 +205,7 @@ def optimize(
         if not np.all(np.isfinite(grad)):
             raise OptimizationDivergenceError(t, "gradient is not finite")
         if t % trace_every == 0 or t >= cfg.iterations - 1:
-            records.append((t, loss_val, f_term, g_term, float(np.linalg.norm(grad))))
+            records.append((t, loss_val, f_term, g_term, math.sqrt(np.sum(np.abs(grad) ** 2))))
         if t == cfg.iterations:
             break
         m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
@@ -214,7 +214,7 @@ def optimize(
         v_hat = v / (1.0 - cfg.beta2 ** (t + 1))
         x = x - cfg.learning_rate * m_hat * (1.0 / (np.sqrt(v_hat) + cfg.eps))
 
-    scaled = np.sqrt(total_power) / float(np.linalg.norm(x)) * x
+    scaled = np.sqrt(total_power) / math.sqrt(np.sum(np.abs(x) ** 2)) * x
     design = extract_allocation(scaled, cfg.zero_threshold_rel, total_power)
     trace = OptimizationTrace(*(np.asarray(column) for column in zip(*records)))
     return design, trace

@@ -14,10 +14,15 @@ dictionary coherence from its dense Gram, the flat grid index of a
 (delay, AoD, AoA) tuple, the channel of a virtual-gain vector and of a
 path realization as sums of Kronecker (Khatri-Rao) columns. ``f_omega``
 is the engine's objective value alone, for tests that need no gradient.
+``one_product_gram_rows`` forms the delay-difference rows from the whole
+(Q, G_phi, G_phi) stack of column products in one product; the library's
+blocked ``coherence._gram_rows`` must match it bit for bit.
 ``reference_optimize`` is the design loop with an out-of-place Adam step
 and every complex-by-real scaling, in it and in ``reference_gradient``,
 written as a quotient; the library's loop, which multiplies by
-reciprocals, must match it bit for bit.
+reciprocals, must match it bit for bit. Both take whole-array squared
+norms with the library's pairwise ``np.sum(np.abs(a) ** 2)``, since their
+subject is the Adam formulas, not the reduction.
 ``median_difference_ci`` is the paired bootstrap interval the end-to-end
 acceptance criterion is judged by. ``write_csv_rows`` is the row-wise
 ``csv.writer`` route that the table writer ``harness._write_csv`` and the
@@ -25,6 +30,7 @@ CDF writer ``harness._write_cdf`` must match byte for byte.
 """
 
 import csv
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -83,6 +89,13 @@ def sensing_omega(design, dicts):
     """Dense ``Omega`` on the allocated subcarriers, in ascending order."""
     sel = list(design.allocation)
     return build_omega(design.blocks[sel], replace(dicts, b=dicts.b[sel]))
+
+
+def one_product_gram_rows(r, w_t):
+    """Delay-difference rows ``c_d = sum_k w_t[d, k] conj(r_k) r_k^T`` from all column products at once."""
+    q, g_phi, _ = r.shape
+    p_mat = np.matmul(r.conj(), r.transpose(0, 2, 1))  # (Q, G_phi, G_phi)
+    return (w_t @ p_mat.reshape(q, g_phi * g_phi)).reshape(-1, g_phi, g_phi)
 
 
 def dense_psi(design, dicts, entry_cap=_DENSE_ENTRY_CAP):
@@ -259,7 +272,7 @@ def full_gram_value_and_vgrad(blocks, dicts, p):
 
 def reference_gradient(blocks, engine, cfg):
     """The design loss's Wirtinger gradient and terms, with the quotients of its formula."""
-    total_sq = float(np.vdot(blocks, blocks).real)
+    total_sq = float(np.sum(np.abs(blocks) ** 2))
     total = np.sqrt(total_sq)
     f_val, v_p, vgrad = engine.f_value_and_vgrad(blocks, cfg.p)
     f_term = f_val / total_sq
@@ -286,7 +299,7 @@ def reference_optimize(initial_blocks, dicts, cfg, total_power, trace_every=1):
     for t in range(cfg.iterations + 1):
         grad, loss_val, f_term, g_term = reference_gradient(x, engine, cfg)
         if t % trace_every == 0 or t >= cfg.iterations - 1:
-            records.append((t, loss_val, f_term, g_term, float(np.linalg.norm(grad))))
+            records.append((t, loss_val, f_term, g_term, math.sqrt(np.sum(np.abs(grad) ** 2))))
         if t == cfg.iterations:
             break
         m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
@@ -294,7 +307,7 @@ def reference_optimize(initial_blocks, dicts, cfg, total_power, trace_every=1):
         m_hat = m / (1.0 - cfg.beta1 ** (t + 1))
         v_hat = v / (1.0 - cfg.beta2 ** (t + 1))
         x = x - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
-    scaled = np.sqrt(total_power) / float(np.linalg.norm(x)) * x
+    scaled = np.sqrt(total_power) / math.sqrt(np.sum(np.abs(x) ** 2)) * x
     design = extract_allocation(scaled, cfg.zero_threshold_rel, total_power)
     trace = OptimizationTrace(*(np.asarray(column) for column in zip(*records)))
     return design, trace

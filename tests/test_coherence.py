@@ -42,6 +42,7 @@ from oracles import (
     full_gram_tensor,
     full_gram_value_and_vgrad,
     normalized_omega_gram,
+    one_product_gram_rows,
     psi_matvec,
     sensing_omega,
     t_p_dictionary,
@@ -451,6 +452,32 @@ class TestScalarCoherenceMetrics:
 
 
 class TestSensingOperator:
+    @pytest.mark.parametrize("profile, sizes", [("desk", (1, 4, 5, 16)), ("paper", (1, 8, 9, 33, 64))])
+    def test_gram_rows_match_one_product_bitwise(self, profile, sizes):
+        cfg = load_experiment_config(profile)
+        dicts = build_dictionaries(cfg.grids, cfg.system)
+        for q in sizes:
+            design = make_baseline_design(cfg, q, 0)
+            sel = np.isin(np.arange(dicts.num_subcarriers), design.allocation)
+            r = np.matmul(dicts.a_t.conj().T[None, :, :], design.blocks[sel])
+            expected = one_product_gram_rows(r, dicts.delay_weights.T[:, sel])
+            assert build_sensing_matrix(design, dicts).gram_rows.tobytes() == expected.tobytes()
+
+    def test_full_allocation_paper_build_peak_memory(self):
+        # The (Q, G_phi, G_phi) column products of a Q = 64 paper design alone
+        # are 4 MiB; the rows they sum to are 2 MiB.
+        cfg = load_experiment_config("paper")
+        dicts = build_dictionaries(cfg.grids, cfg.system)
+        design = make_baseline_design(cfg, cfg.system.num_subcarriers, 0)
+        dicts.delay_weights  # cached once per dictionary set
+        tracemalloc.start()
+        try:
+            build_sensing_matrix(design, dicts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 2**20
+
     def test_only_builder_outside_the_design_loop(self, monkeypatch):
         # The sensing build and the report share one builder and never
         # construct the design loop's engine; the uniform-grid check runs

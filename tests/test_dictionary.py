@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,21 @@ class TestBuildDictionaries:
         d = build_dictionaries(GridSpec(g_theta=5, g_phi=6, g_tau=3), small_config())
         for mat in (d.a_r, d.a_t, d.b):
             np.testing.assert_allclose(np.abs(mat), 1.0, atol=1e-14)
+
+
+class TestDelayWeights:
+    def test_uniform_grid_check_peak_memory(self):
+        # The whole (K, G_tau, G_tau) weight tensor here is 16 MiB.
+        cfg = small_config(num_subcarriers=256, num_delay_taps=256)
+        dicts = build_dictionaries(GridSpec(g_theta=2, g_phi=2, g_tau=64), cfg)
+        tracemalloc.start()
+        try:
+            weights = dicts.delay_weights
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert weights.shape == (256, 64)
+        assert peak <= 4 * 2**20
 
 
 class TestGridIndex:
