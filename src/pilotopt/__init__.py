@@ -29,7 +29,6 @@ from .coherence import (
 from .dictionary import DictionarySet, GridSpec, build_dictionaries, make_grids
 from .errors import (
     ConfigError,
-    DegenerateDesignError,
     DegenerateInputError,
     OptimizationDivergenceError,
     PilotOptError,

@@ -29,6 +29,11 @@ __all__ = [
 ]
 
 
+def _exceeds_array_limit(*shape: int, dtype=complex) -> bool:
+    """Whether numpy refuses one array of this shape and dtype as too big to index."""
+    return math.prod(shape) * np.dtype(dtype).itemsize > np.iinfo(np.intp).max
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """MIMO-OFDM link and pilot-budget parameters.
@@ -64,6 +69,8 @@ class SystemConfig:
             raise ValueError("antenna spacings must be positive")
         if not 1 <= self.num_delay_taps <= self.num_subcarriers:
             raise ValueError("num_delay_taps must be in [1, num_subcarriers]")
+        if _exceeds_array_limit(self.num_subcarriers, self.num_tx, max(self.num_rx, self.seq_len)):
+            raise ValueError("the (K, Nr, Nt) channel or (K, Nt, M) pilot array is too large")
 
     @property
     def max_delay_s(self) -> float:
@@ -93,10 +100,6 @@ class ChannelRealization:
                 raise ValueError(f"{name} must be finite")
         if not np.all(np.isfinite(self.gains)):
             raise ValueError("gains must be finite")
-
-    @property
-    def num_paths(self) -> int:
-        return len(self.gains)
 
 
 @dataclass(frozen=True)

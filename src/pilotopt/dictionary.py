@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import SystemConfig, delay_response, steering_vector
+from .channel import SystemConfig, _exceeds_array_limit, delay_response, steering_vector
 
 __all__ = [
     "GridSpec",
@@ -38,7 +38,7 @@ class GridSpec:
         if self.g_tau < 2:
             raise ValueError("g_tau must be >= 2 (delay grid needs two endpoints)")
         # OMP holds complex arrays with one entry per atom.
-        if self.total * np.dtype(complex).itemsize > np.iinfo(np.intp).max:
+        if _exceeds_array_limit(self.total):
             raise ValueError(f"a grid of {self.total} atoms is too large for one array")
 
     @property
@@ -48,11 +48,8 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class DictionarySet:
-    """Grid values and the three dictionary matrices built on them."""
+    """The three dictionary matrices, evaluated on ``make_grids``' grid values."""
 
-    theta_grid: np.ndarray  # (G_theta,) AoA radians
-    phi_grid: np.ndarray  # (G_phi,) AoD radians
-    tau_grid: np.ndarray  # (G_tau,) seconds
     a_r: np.ndarray  # (Nr, G_theta)
     a_t: np.ndarray  # (Nt, G_phi)
     b: np.ndarray  # (K, G_tau)
@@ -120,4 +117,4 @@ def build_dictionaries(spec: GridSpec, config: SystemConfig) -> DictionarySet:
     a_r = steering_vector(theta, config.num_rx, config.rx_spacing_wavelengths)
     a_t = steering_vector(phi, config.num_tx, config.tx_spacing_wavelengths)
     b = delay_response(tau, config)
-    return DictionarySet(theta_grid=theta, phi_grid=phi, tau_grid=tau, a_r=a_r, a_t=a_t, b=b)
+    return DictionarySet(a_r=a_r, a_t=a_t, b=b)

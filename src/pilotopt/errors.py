@@ -9,10 +9,6 @@ class DegenerateInputError(PilotOptError, ValueError):
     """An input is structurally valid but numerically degenerate (e.g. all-zero)."""
 
 
-class DegenerateDesignError(PilotOptError, ValueError):
-    """Every pilot block fell below the zero threshold; no allocation remains."""
-
-
 class OptimizationDivergenceError(PilotOptError, RuntimeError):
     """Non-finite loss or gradient encountered during optimization."""
 
@@ -26,4 +22,3 @@ class ConfigError(PilotOptError, ValueError):
 
     def __init__(self, key: str, message: str):
         super().__init__(f"{key}: {message}")
-        self.key = key

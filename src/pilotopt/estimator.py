@@ -162,8 +162,8 @@ def omp_solve(
         raise ValueError(f"expected measurement of length {n_obs}, got {y.shape}")
     if max_sparsity < 1:
         raise ValueError("max_sparsity must be >= 1")
-    if max_sparsity > n_obs:
-        raise ValueError("max_sparsity cannot exceed the number of observations")
+    if max_sparsity > min(n_obs, n_atoms):
+        raise ValueError("max_sparsity cannot exceed the number of observations or of atoms")
 
     with np.errstate(over="ignore"):  # an overflowing norm is inf and refused below
         y_norm = float(np.linalg.norm(y))

@@ -25,7 +25,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .channel import SystemConfig, assemble_channel, sample_channel
+from .channel import SystemConfig, _exceeds_array_limit, assemble_channel, sample_channel
 from .coherence import (
     CoherenceReport,
     PilotDesign,
@@ -72,6 +72,9 @@ _GRADCHECK_PAIRS = 10
 _GRADCHECK_STEP = 1e-5
 _GRADCHECK_TOL = 1e-4
 
+# Within ±_MAX_DB dB, 10^(value/10) is a finite, nonzero float.
+_MAX_DB = 10 * sys.float_info.max_10_exp
+
 
 @dataclass(frozen=True)
 class ChannelModelConfig:
@@ -79,8 +82,8 @@ class ChannelModelConfig:
     rician_k_db: float
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(getattr(self, f.name)) for f in fields(self) if f.type == "float"):
-            raise ValueError("channel float parameters must be finite")
+        if not abs(self.rician_k_db) <= _MAX_DB:  # nan fails too
+            raise ValueError(f"rician_k_db must be finite and lie within ±{_MAX_DB} dB")
         if self.num_paths < 1:
             raise ValueError("num_paths must be >= 1")
 
@@ -94,10 +97,8 @@ class EvaluationConfig:
     def __post_init__(self) -> None:
         if not self.snr_db_list:
             raise ValueError("snr_db_list must be non-empty")
-        # Within ±limit dB, 10^(snr/10) is a finite, nonzero float; nan fails too.
-        limit = 10 * sys.float_info.max_10_exp
-        if not all(abs(v) <= limit for v in self.snr_db_list):
-            raise ValueError(f"snr_db_list entries must lie within ±{limit} dB")
+        if not all(abs(v) <= _MAX_DB for v in self.snr_db_list):  # nan fails too
+            raise ValueError(f"snr_db_list entries must lie within ±{_MAX_DB} dB")
         if len(set(self.snr_db_list)) != len(self.snr_db_list):
             raise ValueError("snr_db_list entries must be distinct")
         if self.num_trials < 1:
@@ -118,6 +119,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.base_seed < 0:
             raise ValueError("base_seed must be non-negative")
+        if _exceeds_array_limit(self.system.num_subcarriers, self.channel.num_paths):
+            raise ValueError("num_paths is too large for the (K, L) path weights")
 
 
 _DESK_PROFILE = {
@@ -502,6 +505,7 @@ def run_estimate(
     ``trials.csv`` and ``summary.csv``; the volatile per-trial timing
     column is emitted only when ``timing`` is on.
     """
+    ev = cfg.evaluation
     designs: list[tuple[str, PilotDesign]] = []
     for p in design_paths:
         tag = _method_tag(p)
@@ -510,13 +514,14 @@ def run_estimate(
         design = load_design(p)
         _check_design_compat(cfg, tag, design)
         n_obs = cfg.system.num_rx * cfg.system.seq_len * len(design.allocation)
-        if cfg.evaluation.max_sparsity > n_obs:
-            raise ConfigError(
-                tag, f"max_sparsity {cfg.evaluation.max_sparsity} exceeds the {n_obs} observations"
-            )
+        if ev.max_sparsity > min(n_obs, cfg.grids.total):
+            raise ConfigError(tag, f"max_sparsity {ev.max_sparsity} exceeds the {n_obs} "
+                              f"observations or the {cfg.grids.total} grid atoms")
         designs.append((tag, design))
     if not designs:
         raise ConfigError("designs", "at least one design is required")
+    if _exceeds_array_limit(len(designs), len(ev.snr_db_list), ev.num_trials, dtype=float):
+        raise ConfigError("num_trials", "the (designs, SNRs, trials) tables are too large")
     sizes = {len(d.allocation) for _, d in designs}
     if len(sizes) > 1 and not allow_mixed:
         raise ConfigError(
@@ -530,7 +535,6 @@ def run_estimate(
     sys_cfg = cfg.system
     dicts = build_dictionaries(cfg.grids, sys_cfg)
     operators = {tag: build_sensing_matrix(d, dicts) for tag, d in designs}
-    ev = cfg.evaluation
 
     methods = [tag for tag, _ in designs]
     snrs = ev.snr_db_list

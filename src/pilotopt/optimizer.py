@@ -21,7 +21,7 @@ import numpy as np
 
 from .coherence import CoherenceEngine, PilotDesign, _require_even_p
 from .dictionary import DictionarySet
-from .errors import DegenerateDesignError, DegenerateInputError, OptimizationDivergenceError
+from .errors import DegenerateInputError, OptimizationDivergenceError
 
 __all__ = [
     "OptimizerConfig",
@@ -153,7 +153,7 @@ def extract_allocation(
     norms = np.linalg.norm(blocks, axis=(1, 2))
     peak = float(norms.max()) if norms.size else 0.0
     if peak == 0.0:
-        raise DegenerateDesignError("every pilot block is zero")
+        raise DegenerateInputError("every pilot block is zero")
     keep = norms > zero_threshold_rel * peak
     allocation = tuple(int(k) for k in np.flatnonzero(keep))
     trimmed = np.where(keep[:, None, None], blocks, 0.0)

@@ -30,6 +30,7 @@ from pilotopt import (
     loss,
     loss_gradient,
     make_baseline_design,
+    make_grids,
     nmse,
     omp_solve,
     optimize,
@@ -310,6 +311,7 @@ def test_criterion_07_omp_exactness():
     op = build_sensing_matrix(design, dicts)
     mu = coherence_report(design, dicts, 4).mutual_coherence
     rng = np.random.default_rng(707)
+    theta, phi, tau = make_grids(spec, cfg)
     worst_nmse = 0.0
     support_ok = True
     for sparsity in (1, 2):
@@ -318,9 +320,9 @@ def test_criterion_07_omp_exactness():
             gains = rng.standard_normal(sparsity) + 1j * rng.standard_normal(sparsity)
             g_tau, g_phi, g_theta = np.unravel_index(atoms, (spec.g_tau, spec.g_phi, spec.g_theta))
             realization = ChannelRealization(
-                aoas=dicts.theta_grid[g_theta],
-                aods=dicts.phi_grid[g_phi],
-                delays=dicts.tau_grid[g_tau],
+                aoas=theta[g_theta],
+                aods=phi[g_phi],
+                delays=tau[g_tau],
                 gains=gains,
             )
             h = assemble_channel(realization, cfg)

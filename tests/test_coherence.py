@@ -283,7 +283,7 @@ class TestCoherenceEngine:
         cfg, _, dicts, blocks = small_setup()
         tau = cfg.max_delay_s * np.array([0.0, 0.1, 0.5, 1.0])
         b = np.stack([delay_response(t, cfg) for t in tau], axis=1)
-        bad = replace(dicts, tau_grid=tau, b=b)
+        bad = replace(dicts, b=b)
         design = PilotDesign(blocks=blocks, allocation=tuple(range(8)), total_power=1.0)
         for consumer in (
             CoherenceEngine,
@@ -382,10 +382,7 @@ def _single_aoa_design(seed):
 def _orthonormal_design():
     """Two subcarriers with orthogonal delay columns and identity pilots and
     steering: Omega has orthogonal columns, so Psi's normalized Gram is I_8."""
-    dicts = DictionarySet(
-        theta_grid=np.zeros(2), phi_grid=np.zeros(2), tau_grid=np.arange(2.0),
-        a_r=np.eye(2), a_t=np.eye(2), b=np.array([[1.0, 1.0], [1.0, -1.0]]),
-    )
+    dicts = DictionarySet(a_r=np.eye(2), a_t=np.eye(2), b=np.array([[1.0, 1.0], [1.0, -1.0]]))
     return PilotDesign(blocks=np.stack([np.eye(2)] * 2), allocation=(0, 1), total_power=4.0), dicts
 
 

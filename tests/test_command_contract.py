@@ -89,12 +89,24 @@ def test_config_too_large_for_memory_exits_2(tmp_path, monkeypatch, capsys, comm
     assert "configuration error: Unable to allocate" in capsys.readouterr().err
 
 
-def test_config_too_large_to_index_exits_2(tmp_path, monkeypatch, capsys):
-    # g_tau = 2**62 is refused by the grid spec before any array is allocated;
-    # numpy would fail with "array is too big" instead of a MemoryError.
+_OVERSIZED = [("g_tau", 62, "design"), ("num_subcarriers", 63, "design"), ("num_tx", 63, "design"),
+              ("num_rx", 63, "design"), ("seq_len", 63, "design"), ("seq_len", 63, "baseline"),
+              ("num_paths", 63, "estimate"), ("num_trials", 62, "estimate"),
+              ("num_trials", 63, "estimate")]
+
+
+@pytest.mark.parametrize(("key", "power", "command"), _OVERSIZED,
+                         ids=[f"{key}=2**{power}-{command}" for key, power, command in _OVERSIZED])
+def test_config_too_large_to_index_exits_2(tmp_path, monkeypatch, capsys, key, power, command):
+    # The config refuses each count before any array is allocated; numpy would
+    # fail with "array is too big" or "Maximum allowed dimension exceeded"
+    # instead of a MemoryError.
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "huge.cfg").write_text(f"g_tau = {2**62}\n")
-    assert main(["design", "--profile", "desk", "--config", "huge.cfg", "--out", "d"]) == 2
+    save_design(make_baseline_design(load_experiment_config("desk"), 4, 0), tmp_path / "d.json")
+    (tmp_path / "huge.cfg").write_text(f"{key} = {2**power}\n")
+    extra = {"design": ["--out", "d"], "baseline": ["--target-q", "4", "--out", "b.json"],
+             "estimate": ["--designs", "d.json", "--out", "e"]}
+    assert main([command, "--profile", "desk", "--config", "huge.cfg", *extra[command]]) == 2
     assert "configuration error" in capsys.readouterr().err
 
 

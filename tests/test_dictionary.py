@@ -81,12 +81,11 @@ class TestBuildDictionaries:
         cfg = small_config()
         spec = GridSpec(g_theta=4, g_phi=8, g_tau=4)
         d = build_dictionaries(spec, cfg)
+        _, phi, tau = make_grids(spec, cfg)
         for g in range(spec.g_phi):
-            np.testing.assert_array_equal(
-                d.a_t[:, g], steering_vector(d.phi_grid[g], cfg.num_tx, 0.5)
-            )
+            np.testing.assert_array_equal(d.a_t[:, g], steering_vector(phi[g], cfg.num_tx, 0.5))
         for g in range(spec.g_tau):
-            np.testing.assert_array_equal(d.b[:, g], delay_response(d.tau_grid[g], cfg))
+            np.testing.assert_array_equal(d.b[:, g], delay_response(tau[g], cfg))
 
     @pytest.mark.parametrize("profile", ["desk", "paper"])
     def test_array_calls_match_stacked_scalar_calls(self, profile):
@@ -187,10 +186,11 @@ class TestVirtualChannel:
         gain = 0.8 - 1.1j
         alpha = np.zeros(self.spec.total, dtype=complex)
         alpha[encode_grid_index(gt, gp, gth, self.spec)] = gain
+        theta, phi, tau = make_grids(self.spec, self.cfg)
         realization = ChannelRealization(
-            aoas=np.array([self.dicts.theta_grid[gth]]),
-            aods=np.array([self.dicts.phi_grid[gp]]),
-            delays=np.array([self.dicts.tau_grid[gt]]),
+            aoas=np.array([theta[gth]]),
+            aods=np.array([phi[gp]]),
+            delays=np.array([tau[gt]]),
             gains=np.array([gain]),
         )
         physical = assemble_channel(realization, self.cfg).stacked

@@ -17,6 +17,7 @@ from pilotopt import (
     coherence_report,
     load_experiment_config,
     make_baseline_design,
+    make_grids,
     nmse,
     omp_solve,
     reconstruct_channel,
@@ -65,8 +66,9 @@ def orthogonal_setup():
 
 def on_grid_channel(dicts, spec, grid_indices, gains, cfg):
     g_tau, g_phi, g_theta = np.unravel_index(grid_indices, (spec.g_tau, spec.g_phi, spec.g_theta))
+    theta, phi, tau = make_grids(spec, cfg)
     realization = ChannelRealization(
-        aoas=dicts.theta_grid[g_theta], aods=dicts.phi_grid[g_phi], delays=dicts.tau_grid[g_tau],
+        aoas=theta[g_theta], aods=phi[g_phi], delays=tau[g_tau],
         gains=np.asarray(gains, dtype=complex),
     )
     return assemble_channel(realization, cfg)
@@ -185,6 +187,17 @@ class TestOmpSolve:
         with pytest.raises(ValueError):
             omp_solve(np.zeros(op.shape[0], dtype=complex), op, max_sparsity=op.shape[0] + 1)
 
+    def test_sparsity_exceeding_atoms_rejected(self):
+        # Two atoms against four observations: a third pick would repeat an atom.
+        dicts = DictionarySet(a_r=np.array([[1.0], [0.0]]), a_t=np.eye(2), b=np.ones((1, 1)))
+        design = PilotDesign(blocks=np.eye(2)[None], allocation=(0,), total_power=2.0)
+        op = build_sensing_matrix(design, dicts)
+        y = np.array([1.0 + 0.5j, 0.5, 0.2 + 0.3j, -0.4])
+        assert op.shape == (4, 2)
+        with pytest.raises(ValueError, match="atoms"):
+            omp_solve(y, op, max_sparsity=3)
+        assert len(omp_solve(y, op, max_sparsity=2).support) == 2
+
     def test_early_stop_keeps_support_small(self):
         _, _, dicts, design = orthogonal_setup()
         op = build_sensing_matrix(design, dicts)
@@ -195,10 +208,7 @@ class TestOmpSolve:
     def test_duplicate_columns_warn_and_stay_monotone(self, caplog):
         # One subcarrier, one tap and two equal AoD columns give two identical
         # atoms: the second pick makes the active set singular.
-        dicts = DictionarySet(
-            theta_grid=np.zeros(1), phi_grid=np.zeros(2), tau_grid=np.zeros(1),
-            a_r=np.array([[1.0], [0.0]]), a_t=np.ones((1, 2)), b=np.ones((1, 1)),
-        )
+        dicts = DictionarySet(a_r=np.array([[1.0], [0.0]]), a_t=np.ones((1, 2)), b=np.ones((1, 1)))
         design = PilotDesign(blocks=np.ones((1, 1, 1)), allocation=(0,), total_power=1.0)
         op = build_sensing_matrix(design, dicts)
         y = np.array([1.0, 0.5], dtype=complex)  # component off the column span
@@ -215,8 +225,7 @@ class TestOmpSolve:
         # duplicate. The refit must agree with lstsq on the same active set,
         # warning exactly when lstsq finds it rank-deficient.
         dicts = DictionarySet(
-            theta_grid=np.zeros(1), phi_grid=np.zeros(2), tau_grid=np.zeros(1),
-            a_r=np.array([[1.0], [0.0]]), a_t=np.array([[1.0, 1.0], [0.0, gap]]), b=np.ones((1, 1)),
+            a_r=np.array([[1.0], [0.0]]), a_t=np.array([[1.0, 1.0], [0.0, gap]]), b=np.ones((1, 1))
         )
         design = PilotDesign(blocks=np.eye(2)[None], allocation=(0,), total_power=2.0)
         op = build_sensing_matrix(design, dicts)

@@ -934,7 +934,10 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "override",
-        ["g_tau = 1", "max_sparsity = 100000", "snr_db_list = nan", "snr_db_list = 10, 10"],
+        ["g_tau = 1", "max_sparsity = 100000", "snr_db_list = nan", "snr_db_list = 10, 10",
+         "rician_k_db = 3090", "rician_k_db = -3090",
+         # 2 grid atoms against 64 observations: OMP cannot pick a third distinct atom.
+         "g_theta = 1\ng_phi = 1\ng_tau = 2\nmax_sparsity = 3"],
     )
     def test_invalid_config_value_exit_code(self, tmp_path, override):
         cfg_file = tmp_path / "bad.cfg"
@@ -945,6 +948,20 @@ class TestCli:
                    "--designs", str(design)])
         assert rc == 2
         assert not (tmp_path / "e" / "trials.csv").exists()
+
+    @pytest.mark.parametrize(
+        "override", ["rician_k_db = 3080", "rician_k_db = -3080",
+                     "g_theta = 1\ng_phi = 1\ng_tau = 2\nmax_sparsity = 2"],
+    )
+    def test_config_value_at_its_limit_exit_code(self, tmp_path, override):
+        cfg_file = tmp_path / "edge.cfg"
+        cfg_file.write_text(TINY_OVERRIDES + override + "\n")
+        design = tmp_path / "design_gauss.json"
+        save_design(make_baseline_design(load_experiment_config("desk"), 4, 0), design)
+        rc = main(["estimate", "--config", str(cfg_file), "--out", str(tmp_path / "e"),
+                   "--designs", str(design)])
+        assert rc == 0
+        assert (tmp_path / "e" / "trials.csv").exists()
 
     @pytest.mark.parametrize(
         ("snr", "total_power", "code"),

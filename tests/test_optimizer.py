@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pilotopt import (
-    DegenerateDesignError,
     DegenerateInputError,
     GridSpec,
     OptimizationDivergenceError,
@@ -249,7 +248,7 @@ class TestExtractAllocation:
         assert design.allocation == (0,)
 
     def test_all_zero_rejected(self):
-        with pytest.raises(DegenerateDesignError):
+        with pytest.raises(DegenerateInputError):
             extract_allocation(np.zeros((3, 2, 2), dtype=complex), 1e-3, 1.0)
 
     def test_non_finite_rejected(self):
