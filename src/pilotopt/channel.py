@@ -71,6 +71,15 @@ class SystemConfig:
             raise ValueError("num_delay_taps must be in [1, num_subcarriers]")
         if _exceeds_array_limit(self.num_subcarriers, self.num_tx, max(self.num_rx, self.seq_len)):
             raise ValueError("the (K, Nr, Nt) channel or (K, Nt, M) pilot array is too large")
+        # The dictionary phases' largest factors, each evaluated as this module
+        # evaluates it: k * B overflows first at the last subcarrier.
+        b, two_pi = self.bandwidth_hz, 2.0 * np.pi
+        offsets = (-b / 2.0, -b / 2.0 + (self.num_subcarriers - 1) * b / self.num_subcarriers)
+        phase_factors = (self.max_delay_s, *(two_pi * f for f in offsets),
+                         two_pi * self.tx_spacing_wavelengths * (self.num_tx - 1),
+                         two_pi * self.rx_spacing_wavelengths * (self.num_rx - 1))
+        if not all(map(math.isfinite, phase_factors)):
+            raise ValueError("bandwidth or antenna spacing overflows the delay or steering phases")
 
     @property
     def max_delay_s(self) -> float:

@@ -423,14 +423,18 @@ def coherence_report(design: PilotDesign, dicts: DictionarySet, p: int) -> Coher
     alone: ``nu_p^p = O A + O G + N A`` for the factors' off-diagonal power
     sums ``O`` and ``A`` over ``N`` and ``G`` columns, each over entries
     divided by the largest, so no power overflows. With every off-diagonal
-    entry 0, as for an orthonormal ``Psi``, both are 0.
+    entry 0, as for an orthonormal ``Psi``, both are 0. A non-finite entry
+    of either normalized Gram raises ``DegenerateInputError``.
     """
     _require_even_p(p)
-    op = build_sensing_matrix(design, dicts)
-    norms = op.omega_norms
-    rows = np.abs(op.gram_rows) / np.outer(norms, norms)
-    ar_gram = np.abs(op.ar_gram) / np.outer(op.ar_norms, op.ar_norms)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry is refused below
+        op = build_sensing_matrix(design, dicts)
+        norms = op.omega_norms
+        rows = np.abs(op.gram_rows) / np.outer(norms, norms)
+        ar_gram = np.abs(op.ar_gram) / np.outer(op.ar_norms, op.ar_norms)
     del op  # free its complex rows before the CDF sort (paper peak: about 6 MiB, not 8)
+    if not (np.isfinite(rows).all() and np.isfinite(ar_gram).all()):
+        raise DegenerateInputError("the normalized Omega or A_r Gram has a non-finite entry")
     np.fill_diagonal(rows[0], 0.0)
     np.fill_diagonal(ar_gram, 0.0)
     top = max(float(rows.max()), float(ar_gram.max()))

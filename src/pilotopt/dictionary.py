@@ -90,7 +90,7 @@ class DictionarySet:
         for d in range(g_tau):
             below = b[:, d:].conj() * b[:, : g_tau - d] - w_d[:, d, None]
             above = b[:, : g_tau - d].conj() * b[:, d:] - w_d[:, d, None].conj()
-            if max(np.max(np.abs(below)), np.max(np.abs(above))) > tol:
+            if not np.maximum(np.max(np.abs(below)), np.max(np.abs(above))) <= tol:  # refuses NaN
                 raise ValueError("delay dictionary is not on a uniform grid (W is not Toeplitz)")
         w_d.flags.writeable = False
         return w_d

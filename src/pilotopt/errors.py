@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["PilotOptError", "DegenerateInputError", "OptimizationDivergenceError", "ConfigError"]
+
 
 class PilotOptError(Exception):
     """Base class for package-specific errors."""

@@ -19,7 +19,6 @@ from .errors import DegenerateInputError
 
 __all__ = [
     "SparseEstimate",
-    "SOLVERS",
     "synthesize_measurement",
     "omp_solve",
     "reconstruct_channel",

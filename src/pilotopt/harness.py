@@ -51,7 +51,6 @@ __all__ = [
     "load_experiment_config",
     "save_design",
     "load_design",
-    "save_trace",
     "run_design",
     "make_baseline_design",
     "run_baseline",
@@ -121,6 +120,8 @@ class ExperimentConfig:
             raise ValueError("base_seed must be non-negative")
         if _exceeds_array_limit(self.system.num_subcarriers, self.channel.num_paths):
             raise ValueError("num_paths is too large for the (K, L) path weights")
+        if not math.isfinite(self.system.max_delay_s * (self.grids.g_tau - 1)):
+            raise ValueError("bandwidth is too small: the delay grid's last point overflows")
 
 
 _DESK_PROFILE = {

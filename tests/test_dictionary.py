@@ -5,6 +5,7 @@ import pytest
 
 from pilotopt import (
     ChannelRealization,
+    DictionarySet,
     GridSpec,
     SystemConfig,
     assemble_channel,
@@ -128,6 +129,13 @@ class TestDelayWeights:
             tracemalloc.stop()
         assert weights.shape == (256, 64)
         assert peak <= 4 * 2**20
+
+    def test_refuses_nan_in_delay_dictionary(self):
+        dicts = build_dictionaries(GridSpec(g_theta=2, g_phi=2, g_tau=4), small_config())
+        b = dicts.b.copy()
+        b[3, 2] = np.nan
+        with pytest.raises(ValueError, match="Toeplitz"):
+            DictionarySet(a_r=dicts.a_r, a_t=dicts.a_t, b=b).delay_weights
 
 
 class TestGridIndex:

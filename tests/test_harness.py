@@ -937,7 +937,12 @@ class TestCli:
         ["g_tau = 1", "max_sparsity = 100000", "snr_db_list = nan", "snr_db_list = 10, 10",
          "rician_k_db = 3090", "rician_k_db = -3090",
          # 2 grid atoms against 64 observations: OMP cannot pick a third distinct atom.
-         "g_theta = 1\ng_phi = 1\ng_tau = 2\nmax_sparsity = 3"],
+         "g_theta = 1\ng_phi = 1\ng_tau = 2\nmax_sparsity = 3",
+         # Dictionary phases that overflow: k * B at k = 15 (also at 1.2e307),
+         # max_delay_s, max_delay_s * (g_tau - 1), and 2 pi * spacing.
+         "bandwidth_hz = 2e307", "bandwidth_hz = 1.2e307", "bandwidth_hz = 1e-310",
+         "bandwidth_hz = 1e-307", "tx_spacing_wavelengths = 1e308",
+         "rx_spacing_wavelengths = 1e308"],
     )
     def test_invalid_config_value_exit_code(self, tmp_path, override):
         cfg_file = tmp_path / "bad.cfg"
@@ -951,7 +956,9 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "override", ["rician_k_db = 3080", "rician_k_db = -3080",
-                     "g_theta = 1\ng_phi = 1\ng_tau = 2\nmax_sparsity = 2"],
+                     "g_theta = 1\ng_phi = 1\ng_tau = 2\nmax_sparsity = 2",
+                     "bandwidth_hz = 1e300", "bandwidth_hz = 1.1e307", "bandwidth_hz = 1e-300",
+                     "rx_spacing_wavelengths = 1e200"],
     )
     def test_config_value_at_its_limit_exit_code(self, tmp_path, override):
         cfg_file = tmp_path / "edge.cfg"
@@ -962,6 +969,26 @@ class TestCli:
                    "--designs", str(design)])
         assert rc == 0
         assert (tmp_path / "e" / "trials.csv").exists()
+
+    @pytest.mark.parametrize(
+        ("override", "total_power", "code"),
+        [("bandwidth_hz = 2e307", 512.0, 2), ("tx_spacing_wavelengths = 1e308", 512.0, 2),
+         # Finite and positive, but the Omega Gram overflows; 1e308 does not.
+         ("total_power = 1.7e308", 1.7e308, 3), ("total_power = 1e308", 1e308, 0)],
+    )
+    def test_report_overflow_exit_code(self, tmp_path, override, total_power, code):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(override + "\n")
+        desk = load_experiment_config("desk")
+        cfg = replace(desk, system=replace(desk.system, total_power=total_power))
+        design = tmp_path / "design_gauss.json"
+        save_design(make_baseline_design(cfg, 4, 0), design)
+        out = tmp_path / "r"
+        rc = main(["report", "--config", str(cfg_file), "--design", str(design), "--out", str(out)])
+        assert rc == code
+        summaries = list(out.glob("*_coherence_summary.json"))
+        assert len(summaries) == (code == 0)
+        assert all("NaN" not in path.read_text() for path in summaries)
 
     @pytest.mark.parametrize(
         ("snr", "total_power", "code"),
