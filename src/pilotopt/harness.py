@@ -423,24 +423,25 @@ def save_report(report: CoherenceReport, out_dir: str | Path, stem: str = "") ->
 # Commands
 
 
+def _optimize_from_seed(cfg: ExperimentConfig, dicts, opt_cfg: OptimizerConfig, seed,
+                        trace_every: int = 1):
+    """``optimize`` from ``gaussian_init(K, Nt, M, seed)`` at the system's total power."""
+    sys_cfg = cfg.system
+    x0 = gaussian_init(sys_cfg.num_subcarriers, sys_cfg.num_tx, sys_cfg.seq_len, seed)
+    return optimize(x0, dicts, opt_cfg, sys_cfg.total_power, trace_every=trace_every)
+
+
 def run_design(cfg: ExperimentConfig, out_dir: str | Path, trace_every: int = 1) -> dict:
-    """Optimize a design from a Gaussian start; persist design/trace/summary."""
+    """Optimize from a Gaussian start; write the report first so a failing one leaves no file."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    sys_cfg = cfg.system
-    dicts = build_dictionaries(cfg.grids, sys_cfg)
-    x0 = gaussian_init(
-        sys_cfg.num_subcarriers, sys_cfg.num_tx, sys_cfg.seq_len, cfg.optimizer.seed
-    )
-    design, trace = optimize(
-        x0, dicts, cfg.optimizer, sys_cfg.total_power, trace_every=trace_every
-    )
+    dicts = build_dictionaries(cfg.grids, cfg.system)
+    design, trace = _optimize_from_seed(cfg, dicts, cfg.optimizer, cfg.optimizer.seed, trace_every)
+    report_paths = save_report(coherence_report(design, dicts, cfg.optimizer.p), out, "optimized")
     design_path = out / "design_optimized.json"
     save_design(design, design_path)
     trace_path = out / "trace.csv"
     save_trace(trace, trace_path)
-    report = coherence_report(design, dicts, cfg.optimizer.p)
-    report_paths = save_report(report, out, stem="optimized")
     return {"design": design_path, "trace": trace_path, **report_paths}
 
 
@@ -475,18 +476,23 @@ def run_baseline(cfg: ExperimentConfig, target_q: int, out_path: str | Path) -> 
     return out_path
 
 
-def _check_design_compat(cfg: ExperimentConfig, tag: str, design: PilotDesign) -> None:
+def _load_checked(cfg: ExperimentConfig, path: str | Path) -> tuple[str, PilotDesign]:
+    """``(method tag, design)`` of a design file checked against the system config.
+
+    The tag is the file stem without a ``design_`` prefix.
+    """
+    tag = Path(path).stem.removeprefix("design_")
+    design = load_design(path)
     sys_cfg = cfg.system
-    if design.num_subcarriers != sys_cfg.num_subcarriers:
-        raise ConfigError(tag, "design K does not match the system config")
-    if design.num_tx != sys_cfg.num_tx:
-        raise ConfigError(tag, "design Nt does not match the system config")
-    if design.seq_len != sys_cfg.seq_len:
-        raise ConfigError(tag, "design M does not match the system config")
+    expected = (sys_cfg.num_subcarriers, sys_cfg.num_tx, sys_cfg.seq_len)
+    for name, have, want in zip(("K", "Nt", "M"), design.blocks.shape, expected):
+        if have != want:
+            raise ConfigError(tag, f"design {name} does not match the system config")
     if abs(design.total_power - sys_cfg.total_power) > 1e-6 * sys_cfg.total_power:
         raise ConfigError(tag, "design Pt does not match the system config")
     if not design.allocation:
         raise ConfigError(tag, "design has an empty allocation")
+    return tag, design
 
 
 def run_estimate(
@@ -507,23 +513,21 @@ def run_estimate(
     column is emitted only when ``timing`` is on.
     """
     ev = cfg.evaluation
-    designs: list[tuple[str, PilotDesign]] = []
+    designs: dict[str, PilotDesign] = {}
     for p in design_paths:
-        tag = _method_tag(p)
-        if any(t == tag for t, _ in designs):
+        tag, design = _load_checked(cfg, p)
+        if tag in designs:
             raise ConfigError(tag, "duplicate method tag among design files")
-        design = load_design(p)
-        _check_design_compat(cfg, tag, design)
         n_obs = cfg.system.num_rx * cfg.system.seq_len * len(design.allocation)
         if ev.max_sparsity > min(n_obs, cfg.grids.total):
             raise ConfigError(tag, f"max_sparsity {ev.max_sparsity} exceeds the {n_obs} "
                               f"observations or the {cfg.grids.total} grid atoms")
-        designs.append((tag, design))
+        designs[tag] = design
     if not designs:
         raise ConfigError("designs", "at least one design is required")
     if _exceeds_array_limit(len(designs), len(ev.snr_db_list), ev.num_trials, dtype=float):
         raise ConfigError("num_trials", "the (designs, SNRs, trials) tables are too large")
-    sizes = {len(d.allocation) for _, d in designs}
+    sizes = {len(d.allocation) for d in designs.values()}
     if len(sizes) > 1 and not allow_mixed:
         raise ConfigError(
             "designs",
@@ -535,9 +539,9 @@ def run_estimate(
     out.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before any trial
     sys_cfg = cfg.system
     dicts = build_dictionaries(cfg.grids, sys_cfg)
-    operators = {tag: build_sensing_matrix(d, dicts) for tag, d in designs}
+    operators = [build_sensing_matrix(d, dicts) for d in designs.values()]
 
-    methods = [tag for tag, _ in designs]
+    methods = list(designs)
     snrs = ev.snr_db_list
     nmse_values = np.empty((len(designs), len(snrs), ev.num_trials))
     elapsed_ms = np.empty_like(nmse_values)
@@ -547,13 +551,13 @@ def run_estimate(
             sys_cfg, cfg.channel.num_paths, cfg.channel.rician_k_db, cfg.base_seed + trial
         )
         h = assemble_channel(realization, sys_cfg)
-        for (i, (tag, design)), (j, snr) in itertools.product(enumerate(designs), enumerate(snrs)):
+        for (i, design), (j, snr) in itertools.product(enumerate(designs.values()), enumerate(snrs)):
             sigma2 = snr_sigma2(
                 sys_cfg.total_power, sys_cfg.num_tx, sys_cfg.seq_len, len(design.allocation), snr
             )
             started = time.perf_counter()
             y = synthesize_measurement(h, design, sigma2, (cfg.base_seed + trial, _NOISE_STREAM))
-            est = SOLVERS["omp"](y, operators[tag], ev.max_sparsity)
+            est = SOLVERS["omp"](y, operators[i], ev.max_sparsity)
             h_hat = reconstruct_channel(est, dicts)
             nmse_values[i, j, trial] = nmse(h.stacked, h_hat.stacked)
             elapsed_ms[i, j, trial] = (time.perf_counter() - started) * 1e3
@@ -586,18 +590,10 @@ def run_estimate(
             "nmse": nmse_values}
 
 
-def _method_tag(path: str | Path) -> str:
-    tag = Path(path).stem
-    return tag[len("design_") :] if tag.startswith("design_") else tag
-
-
 def run_report(cfg: ExperimentConfig, design_path: str | Path, out_dir: str | Path) -> dict:
-    design = load_design(design_path)
-    tag = _method_tag(design_path)
-    _check_design_compat(cfg, tag, design)
+    tag, design = _load_checked(cfg, design_path)
     dicts = build_dictionaries(cfg.grids, cfg.system)
-    report = coherence_report(design, dicts, cfg.optimizer.p)
-    return save_report(report, out_dir, stem=tag)
+    return save_report(coherence_report(design, dicts, cfg.optimizer.p), out_dir, stem=tag)
 
 
 def run_gradcheck(cfg: ExperimentConfig) -> list[dict]:
@@ -646,21 +642,16 @@ def run_sweep(
         raise ValueError("lambda_values must be non-empty")
     if target_q is not None:
         _check_target_q(cfg, target_q)
-    sys_cfg = cfg.system
-    dicts = build_dictionaries(cfg.grids, sys_cfg)
+    dicts = build_dictionaries(cfg.grids, cfg.system)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for i, lam in enumerate(values):
-        x0 = gaussian_init(
-            sys_cfg.num_subcarriers, sys_cfg.num_tx, sys_cfg.seq_len, (cfg.optimizer.seed, i)
-        )
-        design, _ = optimize(
-            x0, dicts, replace(cfg.optimizer, lambda_bar=lam), sys_cfg.total_power
-        )
+        opt_cfg = replace(cfg.optimizer, lambda_bar=lam)
+        design, _ = _optimize_from_seed(cfg, dicts, opt_cfg, (cfg.optimizer.seed, i))
+        mu = coherence_report(design, dicts, cfg.optimizer.p).mutual_coherence
         name = f"design_lambda_{i}.json"
         save_design(design, out / name)
-        mu = coherence_report(design, dicts, cfg.optimizer.p).mutual_coherence
         rows.append((lam, len(design.allocation), mu, name))
     table_path = out / "sweep.csv"
     _write_csv(

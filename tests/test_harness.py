@@ -435,13 +435,29 @@ class TestRunEstimate:
         out = run_estimate(tiny_cfg, [d, other], tmp_path / "e", allow_mixed=True)
         assert out["trials"].exists()
 
-    def test_dimension_mismatch_rejected(self, tiny_cfg, tmp_path):
-        paper_cfg = load_experiment_config("paper")
-        foreign = make_baseline_design(paper_cfg, 9, 0)
+    # ``report`` reads its design through the same checked loader as ``estimate``.
+    @pytest.mark.parametrize(
+        "command",
+        [lambda cfg, path, out: run_estimate(cfg, [path], out), run_report],
+        ids=["estimate", "report"],
+    )
+    @pytest.mark.parametrize(
+        ("field", "system"),
+        # A paper design differs from desk in K, Nt and M; K is checked first.
+        [("K", None), ("K", {"num_subcarriers": 8}), ("Nt", {"num_tx": 4}),
+         ("M", {"seq_len": 2}), ("Pt", {"total_power": 1024.0})],
+        ids=["paper", "K", "Nt", "M", "Pt"],
+    )
+    def test_dimension_mismatch_rejected(self, tiny_cfg, tmp_path, command, field, system):
+        if system is None:
+            foreign_cfg = load_experiment_config("paper")
+        else:
+            foreign_cfg = replace(tiny_cfg, system=replace(tiny_cfg.system, **system))
         path = tmp_path / "design_foreign.json"
-        save_design(foreign, path)
-        with pytest.raises(ConfigError):
-            run_estimate(tiny_cfg, [path], tmp_path / "e")
+        save_design(make_baseline_design(foreign_cfg, 4, 0), path)
+        with pytest.raises(ConfigError, match=f"^foreign: design {field} does not match"):
+            command(tiny_cfg, path, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_duplicate_tags_rejected(self, tiny_cfg, tmp_path):
         d = run_design(tiny_cfg, tmp_path / "d")["design"]
@@ -989,6 +1005,17 @@ class TestCli:
         summaries = list(out.glob("*_coherence_summary.json"))
         assert len(summaries) == (code == 0)
         assert all("NaN" not in path.read_text() for path in summaries)
+
+    @pytest.mark.parametrize("command", [["design"], ["sweep-lambda", "--lambdas", "0,1.5"]],
+                             ids=["design", "sweep-lambda"])
+    def test_failing_report_leaves_no_design(self, tmp_path, command):
+        # The loop's scale-free loss stays finite at this power; the design's
+        # own report overflows, so the command exits 3 before writing a file.
+        cfg_file = tmp_path / "huge.cfg"
+        cfg_file.write_text("iterations = 3\ntotal_power = 1.7e308\n")
+        out = tmp_path / "out"
+        assert main([*command, "--config", str(cfg_file), "--out", str(out)]) == 3
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
         ("snr", "total_power", "code"),
