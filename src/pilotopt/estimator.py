@@ -115,14 +115,15 @@ class _ActiveSetQR:
         if rho == 0.0:
             return False
         u = self._r_inv[:s, :s] @ h / -rho
+        inv_rho = 1.0 / rho  # overflows to inf, where rho**-2 would raise OverflowError
         fro2 = self._fro2 + float(np.vdot(h, h).real) + rho * rho
-        inv_fro2 = self._inv_fro2 + float(np.vdot(u, u).real) + rho**-2
-        if fro2 * inv_fro2 * self._rcond**2 >= 1.0:
+        inv_fro2 = self._inv_fro2 + float(np.vdot(u, u).real) + inv_rho * inv_rho
+        if not fro2 * inv_fro2 * self._rcond**2 < 1.0:  # inf, and NaN from 0 * inf, fail too
             return False
         self._fro2, self._inv_fro2 = fro2, inv_fro2
         q_s = np.divide(v, rho, out=self._q[s])
         self._r_inv[:s, s] = u
-        self._r_inv[s, s] = 1.0 / rho
+        self._r_inv[s, s] = inv_rho
         self._qy[s] = np.vdot(q_s, self._y)
         self.residual -= self._qy[s] * q_s
         self.size = s + 1

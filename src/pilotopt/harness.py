@@ -39,8 +39,7 @@ from .optimizer import (
     OptimizationTrace,
     OptimizerConfig,
     gaussian_init,
-    loss,
-    loss_gradient,
+    loss_and_gradient,
     optimize,
 )
 
@@ -611,10 +610,10 @@ def run_gradcheck(cfg: ExperimentConfig) -> list[dict]:
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         delta = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         delta /= math.sqrt(np.sum(np.abs(delta) ** 2))
-        grad = loss_gradient(x, dicts, cfg.optimizer)
+        _, grad = loss_and_gradient(x, dicts, cfg.optimizer)
         analytic = 2.0 * float(np.sum(grad.conj() * delta).real)
-        plus = loss(x + _GRADCHECK_STEP * delta, dicts, cfg.optimizer)
-        minus = loss(x - _GRADCHECK_STEP * delta, dicts, cfg.optimizer)
+        plus, _ = loss_and_gradient(x + _GRADCHECK_STEP * delta, dicts, cfg.optimizer)
+        minus, _ = loss_and_gradient(x - _GRADCHECK_STEP * delta, dicts, cfg.optimizer)
         fd = (plus - minus) / (2.0 * _GRADCHECK_STEP)
         rel = abs(fd - analytic) / max(abs(fd), abs(analytic), 1e-30)
         results.append({"pair": i, "fd": fd, "analytic": analytic, "rel_err": rel,
@@ -635,7 +634,8 @@ def run_sweep(
     the coherence being the ``mutual`` of the design's ``coherence_report``.
     With ``target_q``, ``selected`` is the index of the row whose allocation
     size is closest (ties: smaller coherence, then the earlier row), and
-    ``sweep_summary.json`` names its design file.
+    ``sweep_summary.json`` names its design file. Every run is scored
+    before the first write, so a failing run leaves no file.
     """
     values = [float(v) for v in lambda_values]
     if not values:
@@ -645,14 +645,15 @@ def run_sweep(
     dicts = build_dictionaries(cfg.grids, cfg.system)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
+    designs, rows = [], []
     for i, lam in enumerate(values):
         opt_cfg = replace(cfg.optimizer, lambda_bar=lam)
         design, _ = _optimize_from_seed(cfg, dicts, opt_cfg, (cfg.optimizer.seed, i))
         mu = coherence_report(design, dicts, cfg.optimizer.p).mutual_coherence
-        name = f"design_lambda_{i}.json"
-        save_design(design, out / name)
-        rows.append((lam, len(design.allocation), mu, name))
+        designs.append(design)
+        rows.append((lam, len(design.allocation), mu, f"design_lambda_{i}.json"))
+    for design, row in zip(designs, rows):
+        save_design(design, out / row[3])
     table_path = out / "sweep.csv"
     _write_csv(
         table_path,

@@ -27,8 +27,7 @@ __all__ = [
     "OptimizerConfig",
     "OptimizationTrace",
     "block_penalty",
-    "loss",
-    "loss_gradient",
+    "loss_and_gradient",
     "optimize",
     "extract_allocation",
     "gaussian_init",
@@ -96,8 +95,8 @@ def block_penalty(blocks: np.ndarray, q: float) -> float:
 
 def _gradient(
     blocks: np.ndarray, engine: CoherenceEngine, cfg: OptimizerConfig
-) -> tuple[np.ndarray, float, float, float]:
-    """Wirtinger gradient dL/dconj(X) plus the current loss terms."""
+) -> tuple[float, np.ndarray, float, float]:
+    """The loss, its Wirtinger gradient dL/dconj(X), and the loss's f and g terms."""
     total_sq = float(np.sum(np.abs(blocks) ** 2))
     if total_sq == 0.0:
         raise DegenerateInputError("pilot variable is identically zero")
@@ -119,20 +118,13 @@ def _gradient(
         coeff = (ratio - 1.0 / total_sq) * (g_val / (2.0 * total))
         grad = grad + cfg.lambda_bar * coeff[:, None, None] * blocks
 
-    return grad, f_term + g_term, f_term, g_term
+    return f_term + g_term, grad, f_term, g_term
 
 
-def loss(blocks: np.ndarray, dicts: DictionarySet, cfg: OptimizerConfig) -> float:
-    """Scale-invariant design loss L(X) at the given pilot blocks."""
-    return _gradient(np.asarray(blocks, dtype=complex), CoherenceEngine(dicts), cfg)[1]
-
-
-def loss_gradient(
-    blocks: np.ndarray, dicts: DictionarySet, cfg: OptimizerConfig
-) -> np.ndarray:
-    """Per-block conjugate-variable gradient of the design loss."""
-    grad, _, _, _ = _gradient(np.asarray(blocks, dtype=complex), CoherenceEngine(dicts), cfg)
-    return grad
+def loss_and_gradient(blocks: np.ndarray, dicts: DictionarySet,
+                      cfg: OptimizerConfig) -> tuple[float, np.ndarray]:
+    """Scale-invariant design loss L(X) and its per-block conjugate-variable gradient."""
+    return _gradient(np.asarray(blocks, dtype=complex), CoherenceEngine(dicts), cfg)[:2]
 
 
 def extract_allocation(
@@ -182,8 +174,8 @@ def optimize(
 
     The loop is scale-free; the power budget enters only through the final
     rescaling ``X = sqrt(Pt) * X / ||X||_F`` before thresholding. Raises
-    :class:`OptimizationDivergenceError` if the loss or gradient turns
-    non-finite, carrying the iteration index.
+    :class:`OptimizationDivergenceError`, carrying the iteration index, if
+    the loss or the squared gradient norm turns non-finite.
     """
     x = np.array(initial_blocks, dtype=complex)
     if x.ndim != 3:
@@ -196,23 +188,26 @@ def optimize(
     v = np.zeros(x.shape)
     records: list[tuple[int, float, float, float, float]] = []
 
-    # Pass t evaluates the iterate after t Adam steps; pass T, the final
-    # state, is recorded but not stepped from.
-    for t in range(cfg.iterations + 1):
-        grad, loss_val, f_term, g_term = _gradient(x, engine, cfg)
-        if not np.isfinite(loss_val):
-            raise OptimizationDivergenceError(t, "loss is not finite")
-        if not np.all(np.isfinite(grad)):
-            raise OptimizationDivergenceError(t, "gradient is not finite")
-        if t % trace_every == 0 or t >= cfg.iterations - 1:
-            records.append((t, loss_val, f_term, g_term, math.sqrt(np.sum(np.abs(grad) ** 2))))
-        if t == cfg.iterations:
-            break
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * np.abs(grad) ** 2
-        m_hat = m * (1.0 / (1.0 - cfg.beta1 ** (t + 1)))  # m / (1 - b1^(t+1)), bit for bit
-        v_hat = v / (1.0 - cfg.beta2 ** (t + 1))
-        x = x - cfg.learning_rate * m_hat * (1.0 / (np.sqrt(v_hat) + cfg.eps))
+    # Pass t evaluates the iterate after t Adam steps; pass T, the final state, is
+    # recorded but not stepped from. Warnings are off: the finiteness checks catch overflow.
+    with np.errstate(all="ignore"):
+        for t in range(cfg.iterations + 1):
+            loss_val, grad, f_term, g_term = _gradient(x, engine, cfg)
+            if not np.isfinite(loss_val):
+                raise OptimizationDivergenceError(t, "loss is not finite")
+            g2 = np.abs(grad) ** 2
+            grad_sq = np.sum(g2)
+            if not np.isfinite(grad_sq):
+                raise OptimizationDivergenceError(t, "squared gradient norm is not finite")
+            if t % trace_every == 0 or t >= cfg.iterations - 1:
+                records.append((t, loss_val, f_term, g_term, math.sqrt(grad_sq)))
+            if t == cfg.iterations:
+                break
+            m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
+            v = cfg.beta2 * v + (1.0 - cfg.beta2) * g2
+            m_hat = m * (1.0 / (1.0 - cfg.beta1 ** (t + 1)))  # m / (1 - b1^(t+1)), bit for bit
+            v_hat = v / (1.0 - cfg.beta2 ** (t + 1))
+            x = x - cfg.learning_rate * m_hat * (1.0 / (np.sqrt(v_hat) + cfg.eps))
 
     scaled = np.sqrt(total_power) / math.sqrt(np.sum(np.abs(x) ** 2)) * x
     design = extract_allocation(scaled, cfg.zero_threshold_rel, total_power)

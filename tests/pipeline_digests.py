@@ -4,21 +4,26 @@ Usage: ``OPENBLAS_NUM_THREADS=1 python tests/pipeline_digests.py OUT``
 
 Every command runs in-process through ``pilotopt.cli.main`` on the
 ``pilotopt`` in this checkout's ``src``, writing under ``OUT`` (which must
-not exist yet). The script prints one ``sha256  relative/path`` line per
-output file, sorted by path, and exits 1 if any command fails. Run it on
-two checkouts and ``diff`` the listings to check that a change keeps every
-output byte-identical. The file name has no ``test_`` prefix, so pytest
-does not collect it.
+not exist yet). The script prints the ``# key: value`` lines of the numpy
+and BLAS fingerprint the bytes depend on, then one ``sha256  relative/path``
+line per output file, sorted by path, and exits 1 if any command fails.
+``tests/pipeline_digests.txt`` is this listing, and
+``test_pipeline_digests.py`` holds every later output to it; a change that
+alters outputs on purpose regenerates it by redirecting this script into
+it. The file name has no ``test_`` prefix, so pytest does not collect it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -53,7 +58,27 @@ def _pipelines(out: Path, paper_config: Path) -> list[list[str]]:
     ]
 
 
-def run(out: Path) -> int:
+def _openblas_core() -> str:
+    """The CPU kernel set OpenBLAS picked at load time, or ``unknown``."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                     "openblas_get_corename"):
+            get_corename = getattr(ctypes.CDLL(str(lib)), name, None)
+            if get_corename is not None:
+                get_corename.argtypes, get_corename.restype = [], ctypes.c_char_p
+                return get_corename().decode()
+    return "unknown"
+
+
+def fingerprint() -> list[str]:
+    """``# key: value`` lines for numpy's version, its BLAS build and the OpenBLAS core."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return [f"# numpy: {np.__version__}", f"# blas: {blas.get('name')} {blas.get('version')}",
+            f"# openblas_core: {_openblas_core()}"]
+
+
+def listing(out: Path) -> list[str]:
+    """Run every pipeline under ``out``; one ``sha256  relative/path`` line per output."""
     out.mkdir(parents=True)
     with tempfile.TemporaryDirectory() as tmp:
         paper_config = Path(tmp) / "paper.cfg"
@@ -63,16 +88,18 @@ def run(out: Path) -> int:
             with contextlib.redirect_stdout(stdout):
                 code = main(argv)
             if code != 0:
-                print(f"exit {code}: pilotopt {' '.join(argv)}", file=sys.stderr)
-                return 1
+                raise RuntimeError(f"exit {code}: pilotopt {' '.join(argv)}")
             if argv[0] == "gradcheck":
                 (out / "desk" / "gradcheck.txt").write_text(stdout.getvalue())
-    for path in sorted(p for p in out.rglob("*") if p.is_file()):
-        print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out)}")
-    return 0
+    return [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out)}"
+            for path in sorted(p for p in out.rglob("*") if p.is_file())]
 
 
 if __name__ == "__main__":
     if len(sys.argv) != 2:
         sys.exit(__doc__)
-    sys.exit(run(Path(sys.argv[1])))
+    try:
+        lines = listing(Path(sys.argv[1]))
+    except RuntimeError as exc:
+        sys.exit(str(exc))
+    print("\n".join(fingerprint() + lines))

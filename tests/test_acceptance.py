@@ -27,8 +27,7 @@ from pilotopt import (
     coherence_report,
     gaussian_init,
     load_experiment_config,
-    loss,
-    loss_gradient,
+    loss_and_gradient,
     make_baseline_design,
     make_grids,
     nmse,
@@ -94,12 +93,12 @@ def test_criterion_01_gradient_correctness(desk):
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         d = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         d /= np.linalg.norm(d)
-        grad = loss_gradient(x, dicts, cfg.optimizer)
+        grad = loss_and_gradient(x, dicts, cfg.optimizer)[1]
         analytic = 2.0 * np.real(np.vdot(grad, d))
         step = 1e-5
-        fd = (loss(x + step * d, dicts, cfg.optimizer) - loss(x - step * d, dicts, cfg.optimizer)) / (
-            2 * step
-        )
+        plus, _ = loss_and_gradient(x + step * d, dicts, cfg.optimizer)
+        minus, _ = loss_and_gradient(x - step * d, dicts, cfg.optimizer)
+        fd = (plus - minus) / (2 * step)
         worst = max(worst, abs(fd - analytic) / max(abs(fd), abs(analytic)))
     elapsed = time.perf_counter() - started
     _report(
@@ -162,12 +161,12 @@ def test_criterion_04_homogeneity_suite(desk):
     p, q = cfg.optimizer.p, cfg.optimizer.q
     f_base = f_omega(x, dicts, p)
     g_base = block_penalty(x, q)
-    l_base = loss(x, dicts, cfg.optimizer)
+    l_base = loss_and_gradient(x, dicts, cfg.optimizer)[0]
     worst = 0.0
     for s in (0.5, 2.0, 3.0):
         worst = max(worst, abs(f_omega(s * x, dicts, p) - s**2 * f_base) / (s**2 * f_base))
         worst = max(worst, abs(block_penalty(s * x, q) - s * g_base) / (s * g_base))
-        worst = max(worst, abs(loss(s * x, dicts, cfg.optimizer) - l_base) / l_base)
+        worst = max(worst, abs(loss_and_gradient(s * x, dicts, cfg.optimizer)[0] - l_base) / l_base)
     _report(
         "criterion 4 (homogeneity suite)",
         worst <= 1e-10,

@@ -1017,6 +1017,44 @@ class TestCli:
         assert main([*command, "--config", str(cfg_file), "--out", str(out)]) == 3
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("q", ["1e-10", "1e-310"])
+    def test_failing_sweep_run_leaves_no_design(self, tmp_path, q):
+        # The lambda_bar = 0 run succeeds; the penalty of the 1.5 run overflows at this q.
+        cfg_file = tmp_path / "tiny_q.cfg"
+        cfg_file.write_text(f"iterations = 3\nq = {q}\n")
+        out = tmp_path / "out"
+        assert main(["sweep-lambda", "--config", str(cfg_file), "--lambdas", "0,1.5",
+                     "--out", str(out)]) == 3
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("lambda_bar", ["1e160", "1e200"])
+    def test_overflowing_squared_gradient_exit_code(self, tmp_path, capsys, lambda_bar):
+        # The gradient is finite, but |grad|^2 overflows: Adam would divide by inf
+        # and never move, so the run is a numerical failure.
+        cfg_file = tmp_path / "huge_lambda.cfg"
+        cfg_file.write_text(f"iterations = 3\nlambda_bar = {lambda_bar}\n")
+        out = tmp_path / "out"
+        assert main(["design", "--config", str(cfg_file), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical failure: iteration 0: squared gradient norm is not finite"]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("total_power", ["1e-310", "1e-320"])
+    def test_estimate_at_tiny_total_power(self, tmp_path, total_power):
+        # 1 / rho^2 of the first OMP column overflows; the solve goes to lstsq.
+        cfg_file = tmp_path / "tiny_power.cfg"
+        cfg_file.write_text(f"num_trials = 2\ntotal_power = {total_power}\n")
+        desk = load_experiment_config("desk")
+        cfg = replace(desk, system=replace(desk.system, total_power=float(total_power)))
+        design = tmp_path / "design_gauss.json"
+        save_design(make_baseline_design(cfg, 4, 0), design)
+        out = tmp_path / "e"
+        assert main(["estimate", "--config", str(cfg_file), "--out", str(out),
+                     "--designs", str(design)]) == 0
+        with open(out / "summary.csv", newline="") as fh:
+            medians = [float(row["nmse_median"]) for row in csv.DictReader(fh)]
+        assert medians and all(0.0 < value < 1.0 for value in medians)
+
     @pytest.mark.parametrize(
         ("snr", "total_power", "code"),
         [("4000", 512.0, 2), ("1e308", 512.0, 2), ("-1e308", 512.0, 2), ("-3060", 512.0, 3),

@@ -12,4 +12,4 @@ def test_package_exports_each_modules_all_and_nothing_else():
     # pilotopt.cli joins the namespace once some test imports it; the package does not.
     public = {name for name in dir(pilotopt) if not name.startswith("_")} - {"cli"}
     assert public == declared | submodules
-    assert len(declared) == 50 and len(public) == 57
+    assert len(declared) == 49 and len(public) == 56
