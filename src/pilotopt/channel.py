@@ -13,6 +13,7 @@ subcarrier.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -29,6 +30,10 @@ __all__ = [
 ]
 
 
+# Factor between the largest float and the largest Nr * Nt * total_power; see SystemConfig.
+_POWER_HEADROOM = 2.0**10
+
+
 def _exceeds_array_limit(*shape: int, dtype=complex) -> bool:
     """Whether numpy refuses one array of this shape and dtype as too big to index."""
     return math.prod(shape) * np.dtype(dtype).itemsize > np.iinfo(np.intp).max
@@ -39,7 +44,12 @@ class SystemConfig:
     """MIMO-OFDM link and pilot-budget parameters.
 
     ``seq_len`` is the number of pilot symbols per subcarrier and
-    ``total_power`` the power budget shared by all pilot blocks.
+    ``total_power`` the power budget shared by all pilot blocks, at most
+    float max / (2^10 Nr Nt). Pilots of total power Pt give sensing-matrix
+    columns of squared norm up to Nr Nt Pt, and a measurement ``y_k = H_k
+    X_k`` of squared norm up to Nr Nt Pt (sum_l |g_l|)^2 over the path gains;
+    the 2^10 leaves room for the gains, whose squares sum to 1 in
+    expectation, and for noise down to -30 dB SNR.
     """
 
     bandwidth_hz: float
@@ -71,6 +81,10 @@ class SystemConfig:
             raise ValueError("num_delay_taps must be in [1, num_subcarriers]")
         if _exceeds_array_limit(self.num_subcarriers, self.num_tx, max(self.num_rx, self.seq_len)):
             raise ValueError("the (K, Nr, Nt) channel or (K, Nt, M) pilot array is too large")
+        power_limit = sys.float_info.max / (_POWER_HEADROOM * self.num_rx * self.num_tx)
+        if self.total_power > power_limit:
+            raise ValueError(f"total_power must be at most float max / (2^10 num_rx num_tx) "
+                             f"= {power_limit!r}")
         # The dictionary phases' largest factors, each evaluated as this module
         # evaluates it: k * B overflows first at the last subcarrier.
         b, two_pi = self.bandwidth_hz, 2.0 * np.pi

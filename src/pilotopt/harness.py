@@ -33,7 +33,7 @@ from .coherence import (
     coherence_report,
 )
 from .dictionary import GridSpec, build_dictionaries
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateInputError
 from .estimator import SOLVERS, nmse, reconstruct_channel, snr_sigma2, synthesize_measurement
 from .optimizer import (
     OptimizationTrace,
@@ -276,19 +276,28 @@ def load_experiment_config(
 
 
 def save_design(design: PilotDesign, path: str | Path) -> None:
-    """Write a design as JSON with blocks concatenated over subcarriers."""
-    k, nt, m = design.blocks.shape
-    full = design.blocks.transpose(1, 0, 2).reshape(nt, k * m)  # Nt x (M*K)
-    payload = {
+    """Write a design as JSON with blocks concatenated over subcarriers.
+
+    ``x_real`` and ``x_imag`` are Nt x (M*K): row ``i`` holds antenna ``i``'s
+    M pilot symbols of each subcarrier in turn. The rows are encoded one at
+    a time, so no more than one row's text is held, and the bytes are those
+    of ``json.dumps`` of the whole payload plus a newline.
+    """
+    head = json.dumps({
         "K": design.num_subcarriers,
         "M": design.seq_len,
         "Nt": design.num_tx,
         "Pt": design.total_power,
         "allocation": list(design.allocation),
-        "x_real": full.real.tolist(),
-        "x_imag": full.imag.tolist(),
-    }
-    Path(path).write_text(json.dumps(payload) + "\n")
+    })
+    with open(path, "w") as fh:
+        fh.write(head[:-1])  # without the closing brace
+        for key, part in (("x_real", np.real), ("x_imag", np.imag)):
+            fh.write(f', "{key}": [')
+            for i in range(design.num_tx):
+                fh.write((", " if i else "") + json.dumps(part(design.blocks[:, i]).ravel().tolist()))
+            fh.write("]")
+        fh.write("}\n")
 
 
 def _json_int(value) -> int:
@@ -595,11 +604,14 @@ def run_report(cfg: ExperimentConfig, design_path: str | Path, out_dir: str | Pa
     return save_report(coherence_report(design, dicts, cfg.optimizer.p), out_dir, stem=tag)
 
 
+@np.errstate(all="ignore")  # a non-finite loss or gradient is refused below
 def run_gradcheck(cfg: ExperimentConfig) -> list[dict]:
     """Central-difference check of the closed-form gradient.
 
     For each random (X, direction) pair the directional derivative of the
     loss must match 2 Re<grad, direction> within _GRADCHECK_TOL relative error.
+    A loss or gradient that is not finite, such as an overflowing penalty at
+    a tiny ``q``, raises ``DegenerateInputError`` instead of a report row.
     """
     sys_cfg = cfg.system
     dicts = build_dictionaries(cfg.grids, sys_cfg)
@@ -610,11 +622,13 @@ def run_gradcheck(cfg: ExperimentConfig) -> list[dict]:
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         delta = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         delta /= math.sqrt(np.sum(np.abs(delta) ** 2))
-        _, grad = loss_and_gradient(x, dicts, cfg.optimizer)
+        loss, grad = loss_and_gradient(x, dicts, cfg.optimizer)
         analytic = 2.0 * float(np.sum(grad.conj() * delta).real)
         plus, _ = loss_and_gradient(x + _GRADCHECK_STEP * delta, dicts, cfg.optimizer)
         minus, _ = loss_and_gradient(x - _GRADCHECK_STEP * delta, dicts, cfg.optimizer)
         fd = (plus - minus) / (2.0 * _GRADCHECK_STEP)
+        if not (np.isfinite([loss, plus, minus, fd, analytic]).all() and np.isfinite(grad).all()):
+            raise DegenerateInputError(f"gradcheck pair {i}: the loss or its gradient is not finite")
         rel = abs(fd - analytic) / max(abs(fd), abs(analytic), 1e-30)
         results.append({"pair": i, "fd": fd, "analytic": analytic, "rel_err": rel,
                         "ok": rel <= _GRADCHECK_TOL})

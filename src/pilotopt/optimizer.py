@@ -89,34 +89,50 @@ def block_penalty(blocks: np.ndarray, q: float) -> float:
     """Block-sparse penalty (sum_k ||X_k||_F^q)^(1/q)."""
     if not 0.0 < q <= 1.0:
         raise ValueError("q must lie in (0, 1]")
-    norms = np.linalg.norm(blocks, axis=(1, 2))
+    return _penalty(np.linalg.norm(blocks, axis=(1, 2)), q)
+
+
+def _penalty(norms: np.ndarray, q: float) -> float:
     return float(np.sum(norms**q) ** (1.0 / q))
 
 
 def _gradient(
-    blocks: np.ndarray, engine: CoherenceEngine, cfg: OptimizerConfig
+    blocks: np.ndarray, engine: CoherenceEngine, cfg: OptimizerConfig,
+    scratch: tuple[np.ndarray, np.ndarray],
 ) -> tuple[float, np.ndarray, float, float]:
-    """The loss, its Wirtinger gradient dL/dconj(X), and the loss's f and g terms."""
-    total_sq = float(np.sum(np.abs(blocks) ** 2))
+    """The loss, its Wirtinger gradient dL/dconj(X), and the loss's f and g terms.
+
+    The gradient is the engine's fresh array, scaled in place with the
+    operands and order of ``tests/oracles.py::reference_gradient``; other
+    pilot-sized values go into ``scratch``, a real and a complex array of
+    the blocks' shape.
+    """
+    real, cplx = scratch
+    total_sq = float(np.sum(np.square(np.abs(blocks, out=real), out=real)))
     if total_sq == 0.0:
         raise DegenerateInputError("pilot variable is identically zero")
     total = np.sqrt(total_sq)
 
-    f_val, v_p, vgrad = engine.f_value_and_vgrad(blocks, cfg.p)
+    f_val, v_p, grad = engine.f_value_and_vgrad(blocks, cfg.p)
     f_term = f_val / total_sq
-    # Complex over real: numpy divides as a * (1/d), so the product has the same bits.
-    grad = f_term * (vgrad * (1.0 / (cfg.p * v_p)) - blocks * (1.0 / total_sq))
+    # f_term * (vgrad / (p v_p) - blocks / total_sq): numpy divides complex by
+    # real as a * (1/d), so multiplying by the reciprocals gives the same bits.
+    grad *= 1.0 / (cfg.p * v_p)
+    grad -= np.multiply(blocks, 1.0 / total_sq, out=cplx)
+    grad *= f_term
 
     g_term = 0.0
     if cfg.lambda_bar > 0:
-        norms = np.linalg.norm(blocks, axis=(1, 2))
-        g_val = block_penalty(blocks, cfg.q)
+        # np.linalg.norm(blocks, axis=(1, 2)), once, with its conj(X) X in the scratch.
+        np.multiply(np.conjugate(blocks, out=cplx), blocks, out=cplx)
+        norms = np.sqrt(np.add.reduce(cplx.real, axis=(1, 2)))
+        g_val = _penalty(norms, cfg.q)
         g_term = cfg.lambda_bar * g_val / total
         safe = np.maximum(norms, _BLOCK_NORM_FLOOR)
         # Minimal-norm subgradient: exactly-zero blocks contribute nothing.
         ratio = np.where(norms > 0, (safe / g_val) ** cfg.q / safe**2, 0.0)
         coeff = (ratio - 1.0 / total_sq) * (g_val / (2.0 * total))
-        grad = grad + cfg.lambda_bar * coeff[:, None, None] * blocks
+        grad += np.multiply(cfg.lambda_bar * coeff[:, None, None], blocks, out=cplx)
 
     return f_term + g_term, grad, f_term, g_term
 
@@ -124,7 +140,9 @@ def _gradient(
 def loss_and_gradient(blocks: np.ndarray, dicts: DictionarySet,
                       cfg: OptimizerConfig) -> tuple[float, np.ndarray]:
     """Scale-invariant design loss L(X) and its per-block conjugate-variable gradient."""
-    return _gradient(np.asarray(blocks, dtype=complex), CoherenceEngine(dicts), cfg)[:2]
+    blocks = np.asarray(blocks, dtype=complex)
+    scratch = (np.empty(blocks.shape), np.empty_like(blocks))
+    return _gradient(blocks, CoherenceEngine(dicts), cfg, scratch)[:2]
 
 
 def extract_allocation(
@@ -176,6 +194,13 @@ def optimize(
     rescaling ``X = sqrt(Pt) * X / ||X||_F`` before thresholding. Raises
     :class:`OptimizationDivergenceError`, carrying the iteration index, if
     the loss or the squared gradient norm turns non-finite.
+
+    The pass state is ``x``, the moments ``m`` and ``v``, and the pass index
+    ``t``. The arrays and two scratch arrays are allocated once per call and
+    updated in place, with the operands and order of the formulas in
+    ``tests/oracles.py::reference_optimize``, so every value is theirs. A
+    pass allocates only the engine's fresh gradient, which the Adam step
+    then reuses.
     """
     x = np.array(initial_blocks, dtype=complex)
     if x.ndim != 3:
@@ -186,16 +211,18 @@ def optimize(
 
     m = np.zeros_like(x)
     v = np.zeros(x.shape)
+    g2 = np.empty(x.shape)  # |g|^2, then v_hat; also _gradient's real scratch
+    scratch = (g2, np.empty_like(x))
     records: list[tuple[int, float, float, float, float]] = []
 
     # Pass t evaluates the iterate after t Adam steps; pass T, the final state, is
     # recorded but not stepped from. Warnings are off: the finiteness checks catch overflow.
     with np.errstate(all="ignore"):
         for t in range(cfg.iterations + 1):
-            loss_val, grad, f_term, g_term = _gradient(x, engine, cfg)
+            loss_val, grad, f_term, g_term = _gradient(x, engine, cfg, scratch)
             if not np.isfinite(loss_val):
                 raise OptimizationDivergenceError(t, "loss is not finite")
-            g2 = np.abs(grad) ** 2
+            np.square(np.abs(grad, out=g2), out=g2)
             grad_sq = np.sum(g2)
             if not np.isfinite(grad_sq):
                 raise OptimizationDivergenceError(t, "squared gradient norm is not finite")
@@ -203,11 +230,20 @@ def optimize(
                 records.append((t, loss_val, f_term, g_term, math.sqrt(grad_sq)))
             if t == cfg.iterations:
                 break
-            m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
-            v = cfg.beta2 * v + (1.0 - cfg.beta2) * g2
-            m_hat = m * (1.0 / (1.0 - cfg.beta1 ** (t + 1)))  # m / (1 - b1^(t+1)), bit for bit
-            v_hat = v / (1.0 - cfg.beta2 ** (t + 1))
-            x = x - cfg.learning_rate * m_hat * (1.0 / (np.sqrt(v_hat) + cfg.eps))
+            # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) |g|^2
+            m *= cfg.beta1
+            m += np.multiply(grad, 1.0 - cfg.beta1, out=grad)
+            v *= cfg.beta2
+            v += np.multiply(g2, 1.0 - cfg.beta2, out=g2)
+            # x -= lr m_hat / (sqrt(v_hat) + eps), in grad's and g2's memory; numpy
+            # divides complex by real as a * (1/d), so the reciprocals give the same bits.
+            step = np.multiply(m, 1.0 / (1.0 - cfg.beta1 ** (t + 1)), out=grad)  # m_hat
+            v_hat = np.divide(v, 1.0 - cfg.beta2 ** (t + 1), out=g2)
+            step *= cfg.learning_rate
+            step *= np.divide(1.0, np.add(np.sqrt(v_hat, out=g2), cfg.eps, out=g2), out=g2)
+            x -= step
+            del grad, step  # freed before the next pass allocates its gradient
+    del engine, m, v, scratch, g2, grad  # and the loop's arrays before the final rescaling
 
     scaled = np.sqrt(total_power) / math.sqrt(np.sum(np.abs(x) ** 2)) * x
     design = extract_allocation(scaled, cfg.zero_threshold_rel, total_power)

@@ -26,10 +26,13 @@ subject is the Adam formulas, not the reduction.
 ``median_difference_ci`` is the paired bootstrap interval the end-to-end
 acceptance criterion is judged by. ``write_csv_rows`` is the row-wise
 ``csv.writer`` route that the table writer ``harness._write_csv`` and the
-CDF writer ``harness._write_cdf`` must match byte for byte.
+CDF writer ``harness._write_cdf`` must match byte for byte, and
+``design_json`` the whole-payload text that ``harness.save_design``, which
+encodes one pilot row at a time, must write byte for byte.
 """
 
 import csv
+import json
 import math
 from dataclasses import replace
 
@@ -398,3 +401,19 @@ def write_csv_rows(path, header, rows):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def design_json(design):
+    """A design file's text as one ``json.dumps`` of the whole payload, plus a newline."""
+    k, nt, m = design.blocks.shape
+    full = design.blocks.transpose(1, 0, 2).reshape(nt, k * m)  # Nt x (M*K)
+    payload = {
+        "K": design.num_subcarriers,
+        "M": design.seq_len,
+        "Nt": design.num_tx,
+        "Pt": design.total_power,
+        "allocation": list(design.allocation),
+        "x_real": full.real.tolist(),
+        "x_imag": full.imag.tolist(),
+    }
+    return json.dumps(payload) + "\n"

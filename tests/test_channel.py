@@ -1,4 +1,6 @@
 import cmath
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -235,6 +237,14 @@ class TestSystemConfig:
     def test_rejects_nonpositive_power(self):
         with pytest.raises(ValueError):
             small_config(total_power=0.0)
+
+    def test_total_power_upper_limit(self):
+        # float max / (2^10 Nr Nt), with Nr Nt = 8 here.
+        limit = sys.float_info.max / (2.0**10 * 8)
+        assert small_config(total_power=limit).total_power == limit
+        for power in (math.nextafter(limit, math.inf), 1.7e308):
+            with pytest.raises(ValueError, match="total_power must be at most"):
+                small_config(total_power=power)
 
     def test_max_delay(self):
         cfg = small_config()

@@ -244,6 +244,20 @@ class TestCoherenceEngine:
             tracemalloc.stop()
         assert peak <= 2 * vgrad.nbytes
 
+    def test_paper_first_call_peak_memory(self):
+        # The first call makes the work arena: 5 MiB on paper, since |c|^2 and
+        # |c|^(p-2) share the memory of the dead K-side and AoD products;
+        # unshared, its views would take 7 MiB.
+        dicts, blocks = _profile_blocks("paper", 4)
+        engine = CoherenceEngine(dicts)
+        tracemalloc.start()
+        try:
+            _, _, vgrad = engine.f_value_and_vgrad(blocks, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 2**20 + 2 * vgrad.nbytes
+
     def test_results_are_not_work_buffers(self):
         dicts, blocks = _profile_blocks("desk", 5)
         other = gaussian_init(*blocks.shape, 6)
@@ -251,8 +265,11 @@ class TestCoherenceEngine:
         rows = engine.gram_tensor(blocks)
         f, v_p, vgrad = engine.f_value_and_vgrad(blocks, 4)
         kept = rows.copy(), vgrad.copy()
-        engine.f_value_and_vgrad(other, 4)
+        latest = engine.f_value_and_vgrad(other, 4)[2]
         engine.gram_tensor(other)
+        views = [view for view in vars(engine._work).values() if isinstance(view, np.ndarray)]
+        assert len(views) == 8
+        assert not any(np.shares_memory(g, view) for g in (vgrad, latest) for view in views)
         engine.f_value_and_vgrad(other[:, :, :2], 4)  # another shape: new buffers
         np.testing.assert_array_equal(rows, kept[0])
         np.testing.assert_array_equal(vgrad, kept[1])
@@ -657,6 +674,25 @@ class TestCoherenceReport:
         assert "NaN" not in text
         assert json.loads(text)["generalized_p"] == 0.0
 
+    @pytest.mark.parametrize("total_power", [1e308, 1.7e308])
+    def test_overflowing_omega_gram_refused(self, total_power):
+        # Beyond any config's total_power limit, but a design built directly
+        # may carry it: at 1.7e308 the desk Omega Gram overflows, at 1e308 not.
+        cfg = load_experiment_config("desk")
+        dicts = build_dictionaries(cfg.grids, cfg.system)
+        design = make_baseline_design(cfg, 4, 0)
+        scale = np.sqrt(total_power / design.total_power)
+        design = PilotDesign(blocks=design.blocks * scale, allocation=design.allocation,
+                             total_power=total_power)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if total_power > 1e308:
+                with pytest.raises(DegenerateInputError, match="non-finite entry"):
+                    coherence_report(design, dicts, 4)
+            else:
+                report = coherence_report(design, dicts, 4)
+                assert 0.0 < report.mutual_coherence <= 1.0 and np.isfinite(report.generalized)
+
     def test_near_zero_column_keeps_inner_products_at_most_one(self):
         # Zero-mean pilot columns null the broadside Omega column up to
         # rounding. Rows wrapped in antenna space carry rounding relative to
@@ -814,7 +850,9 @@ class TestPaperScaleReport:
         np.testing.assert_allclose(expand_runs(report.column_norm_runs), np.sort(norms), **tol)
 
     def test_report_peak_memory(self, paper_baseline):
-        # The Omega factor's dense Gram alone would be 64 MiB.
+        # The Omega factor's dense Gram alone would be 64 MiB; the complex
+        # rows are 2 MiB, and each of the CDF's value, count and order
+        # arrays 1 MiB.
         dicts, design = paper_baseline
         tracemalloc.start()
         try:
@@ -822,4 +860,4 @@ class TestPaperScaleReport:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * 2**20
+        assert peak <= 4.5 * 2**20

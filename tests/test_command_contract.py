@@ -217,10 +217,11 @@ def test_command_exits_with_a_documented_code(tmp_path, monkeypatch, data):
 
 
 # Edge values for every optimizer key of the config, each run through the
-# commands that optimize. Floats go from below zero to the largest double, and
-# 1e-310 is subnormal; at lambda_bar = 1e160 (and 1e200 in the sweep) the
-# gradient is finite but |grad|^2 overflows. Ints stop at 10**12, a count no
-# command allocates; iterations only tries counts a test can afford.
+# commands that optimize and through gradcheck. Floats go from below zero to
+# the largest double, and 1e-310 is subnormal; at lambda_bar = 1e160 (and 1e200
+# in the sweep) the gradient is finite but |grad|^2 overflows, and at a tiny q
+# the penalty overflows. Ints stop at 10**12, a count no command allocates;
+# iterations only tries counts a test can afford.
 _EDGE_FLOATS = [0.0, -1.0, 1e-310, 1e-10, 1.0, 1e300, -1e300, 1.7e308]
 _EDGE_INTS = [0, 1, 2, -1, 1000, 10**12]
 _OPTIMIZER_KEYS = {
@@ -231,7 +232,7 @@ _OPTIMIZER_KEYS = {
 }
 _EDGE_CASES = [(key, value) for key, values in _OPTIMIZER_KEYS.items() for value in values]
 _EDGE_COMMANDS = [["design"], ["sweep-lambda", "--lambdas", "0,1.5"],
-                  ["sweep-lambda", "--lambdas", "1e200"]]
+                  ["sweep-lambda", "--lambdas", "1e200"], ["gradcheck"]]
 
 
 def test_edge_sweep_covers_every_optimizer_key():
@@ -243,22 +244,25 @@ def test_edge_sweep_covers_every_optimizer_key():
                          ids=[f"{key}={value!r}" for key, value in _EDGE_CASES])
 def test_optimizer_key_at_edge_value(tmp_path, capsys, key, value):
     # Exit 0 with finite outputs, or exit 2 or 3 with one stderr line and an
-    # empty --out; numpy prints no RuntimeWarning on the way.
+    # empty --out; numpy prints no RuntimeWarning on the way. gradcheck writes
+    # no file, so its finite report is its stdout.
     cfg_file = tmp_path / "edge.cfg"
     cfg_file.write_text(f"iterations = 3\n{key} = {value!r}\n")
     for i, command in enumerate(_EDGE_COMMANDS):
         out = tmp_path / f"out_{i}"
+        writes = command != ["gradcheck"]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = main([*command, "--profile", "desk", "--config", str(cfg_file),
-                         "--out", str(out)])
+                         *(["--out", str(out)] if writes else [])])
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], command
         assert code in (0, 2, 3), command
-        err = capsys.readouterr().err.splitlines()
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
         files = [path for path in out.rglob("*") if path.is_file()] if out.exists() else []
         if code == 0:
-            assert files and not err, command
-            bad = [path.name for path in files if re.search("nan|inf", path.read_text(), re.I)]
-            assert not bad, command
+            assert (files or not writes) and not err, command
+            texts = [path.read_text() for path in files] if writes else [captured.out]
+            assert not [text for text in texts if re.search("nan|inf", text, re.I)], command
         else:
             assert not files and len(err) == 1, command

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from pilotopt import (
     ChannelModelConfig,
     ConfigError,
+    DegenerateInputError,
     PilotDesign,
     build_dictionaries,
     coherence_report,
@@ -37,7 +39,7 @@ from pilotopt import (
 from pilotopt import estimator, harness
 from pilotopt.cli import main
 
-from oracles import expand_runs, median_difference_ci, write_csv_rows
+from oracles import design_json, expand_runs, median_difference_ci, write_csv_rows
 
 
 TINY_OVERRIDES = """
@@ -148,6 +150,37 @@ class TestDesignPersistence:
         assert set(payload) == {"K", "M", "Nt", "Pt", "allocation", "x_real", "x_imag"}
         assert len(payload["x_real"]) == design.num_tx
         assert len(payload["x_real"][0]) == design.num_subcarriers * design.seq_len
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_bytes_match_whole_payload_dumps(self, tmp_path, data):
+        k, nt, m = (data.draw(st.integers(1, n)) for n in (6, 4, 3))
+        entries = st.sampled_from([0.0, -0.0, 1.0, -2.5, 5e-324, -2.2e-308, 1e300, -1e300, 0.1])
+        values = data.draw(st.lists(entries | st.floats(allow_nan=False, allow_infinity=False),
+                                    min_size=2 * k * nt * m, max_size=2 * k * nt * m))
+        parts = np.asarray(values).reshape(2, k, nt, m)
+        allocation = data.draw(st.sampled_from([range(k), range(0, k, 2), [k - 1]]))
+        power = data.draw(st.sampled_from([1.0, 512.0, 1e300, 7]))
+        design = PilotDesign(blocks=parts[0] + 1j * parts[1], allocation=tuple(allocation),
+                             total_power=power)
+        path = tmp_path / "d.json"
+        save_design(design, path)
+        assert path.read_bytes() == design_json(design).encode()
+
+    def test_paper_save_memory_bounded_by_one_row(self, tmp_path):
+        # The whole payload's text and float lists of a Q = 64 paper design
+        # take about 4.6 MiB; one pilot row's take a few kB.
+        cfg = load_experiment_config("paper")
+        design = make_baseline_design(cfg, cfg.system.num_subcarriers, 0)
+        tracemalloc.start()
+        try:
+            save_design(design, tmp_path / "d.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "d.json").read_text() == design_json(design)
+        assert peak <= 1 << 20
 
     def test_corrupted_power_rejected(self, tmp_path):
         cfg = load_experiment_config("desk")
@@ -876,6 +909,21 @@ class TestCli:
         assert main(["report", *base, "--design", str(design), "--out", str(tmp_path / "r")]) == 0
         assert main(["gradcheck", *base]) == 0
 
+    def test_gradcheck_mismatch_reports_every_pair(self, monkeypatch, capsys):
+        # A finite but wrong gradient is a failed check, not a numerical error.
+        original = harness.loss_and_gradient
+
+        def doubled(*args):
+            loss, grad = original(*args)
+            return loss, 2.0 * grad
+
+        monkeypatch.setattr(harness, "loss_and_gradient", doubled)
+        assert main(["gradcheck", "--profile", "desk"]) == 3
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert len(lines) == 11 and all(line.endswith("[FAIL]") for line in lines[:10])
+        assert lines[10] == "10/10 gradient checks failed" and not captured.err
+
     def test_design_at_large_p(self, tmp_path):
         # |c|^p of the unscaled Gram rows overflows at this p; the loss does not.
         cfg_file = tmp_path / "large_p.cfg"
@@ -988,9 +1036,7 @@ class TestCli:
 
     @pytest.mark.parametrize(
         ("override", "total_power", "code"),
-        [("bandwidth_hz = 2e307", 512.0, 2), ("tx_spacing_wavelengths = 1e308", 512.0, 2),
-         # Finite and positive, but the Omega Gram overflows; 1e308 does not.
-         ("total_power = 1.7e308", 1.7e308, 3), ("total_power = 1e308", 1e308, 0)],
+        [("bandwidth_hz = 2e307", 512.0, 2), ("tx_spacing_wavelengths = 1e308", 512.0, 2)],
     )
     def test_report_overflow_exit_code(self, tmp_path, override, total_power, code):
         cfg_file = tmp_path / "bad.cfg"
@@ -1008,14 +1054,43 @@ class TestCli:
 
     @pytest.mark.parametrize("command", [["design"], ["sweep-lambda", "--lambdas", "0,1.5"]],
                              ids=["design", "sweep-lambda"])
-    def test_failing_report_leaves_no_design(self, tmp_path, command):
-        # The loop's scale-free loss stays finite at this power; the design's
-        # own report overflows, so the command exits 3 before writing a file.
-        cfg_file = tmp_path / "huge.cfg"
-        cfg_file.write_text("iterations = 3\ntotal_power = 1.7e308\n")
+    def test_failing_report_leaves_no_design(self, tmp_path, monkeypatch, command):
+        # The design's own report fails after the loop has run, so the command
+        # exits 3 before writing a file. No config reaches an overflowing
+        # report since total_power has an upper limit, so the report fails here
+        # as it did for an overflowing Omega Gram.
+        def failing_report(*args):
+            raise DegenerateInputError("the normalized Omega or A_r Gram has a non-finite entry")
+
+        monkeypatch.setattr(harness, "coherence_report", failing_report)
+        cfg_file = tmp_path / "short.cfg"
+        cfg_file.write_text("iterations = 3\n")
         out = tmp_path / "out"
         assert main([*command, "--config", str(cfg_file), "--out", str(out)]) == 3
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(("total_power", "code"), [("1e300", 0), ("1.7e308", 2)])
+    def test_total_power_limit_through_every_command(self, tmp_path, monkeypatch, capsys,
+                                                      total_power, code):
+        # The limit, float max / (2^10 Nr Nt), is about 5.5e303 on desk; below
+        # it every command runs, above it every command refuses the config.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "power.cfg").write_text(
+            f"iterations = 3\nnum_trials = 2\ntotal_power = {total_power}\n")
+        commands = [["baseline", "--target-q", "4", "--out", "design_b.json"],
+                    ["design", "--out", "d"],
+                    ["estimate", "--designs", "design_b.json", "--out", "e"],
+                    ["report", "--design", "design_b.json", "--out", "r"],
+                    ["sweep-lambda", "--lambdas", "0,1.5", "--out", "s"], ["gradcheck"]]
+        for command in commands:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([*command, "--profile", "desk", "--config", "power.cfg"]) == code
+            err = capsys.readouterr().err
+            assert err.count("total_power must be at most") == (code == 2), command[0]
+        outputs = [path for path in tmp_path.rglob("*") if path.suffix in (".csv", ".json")]
+        assert len(outputs) == (15 if code == 0 else 0)
+        assert not [path for path in outputs if re.search("nan|inf", path.read_text(), re.I)]
 
     @pytest.mark.parametrize("q", ["1e-10", "1e-310"])
     def test_failing_sweep_run_leaves_no_design(self, tmp_path, q):

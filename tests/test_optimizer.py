@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -192,6 +193,24 @@ class TestOptimize:
         cfg = OptimizerConfig(iterations=100, lambda_bar=0.5)
         _, trace = optimize(x0, dicts, cfg, 64.0, trace_every=30)
         assert trace.iterations.tolist() == [0, 30, 60, 90, 99, 100]
+
+    def test_paper_run_peak_memory(self):
+        # The engine's 5 MiB arena, x, m, v, two scratch arrays and one
+        # gradient of 256 kB each at most, and the engine's weights; the
+        # loop's arrays are freed before the final rescaling.
+        cfg = load_experiment_config("paper")
+        dicts = build_dictionaries(cfg.grids, cfg.system)
+        dicts.delay_weights  # cached once per dictionary set
+        s = cfg.system
+        x0 = gaussian_init(s.num_subcarriers, s.num_tx, s.seq_len, 4)
+        opt = replace(cfg.optimizer, iterations=3)
+        tracemalloc.start()
+        try:
+            optimize(x0, dicts, opt, s.total_power)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * 2**20
 
 
 class TestAdamMatchesOracle:
