@@ -15,7 +15,6 @@ numerical failure (any other package error).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .errors import ConfigError, PilotOptError
@@ -34,10 +33,10 @@ def _positive_int(raw: str) -> int:
 
 
 def _weights(raw: str) -> list[float]:
-    values = [float(v) for v in raw.split(",") if v.strip()]
-    if not values or not all(math.isfinite(v) and v >= 0 for v in values):
+    values = list(harness._parse_float_list(raw))  # a ValueError is argparse's exit 2
+    if not values or min(values) < 0:
         raise argparse.ArgumentTypeError(
-            f"need one or more finite non-negative weights, got {raw!r}"
+            f"need one or more non-negative weights, got {raw!r}"
         )
     return values
 
@@ -108,7 +107,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.command == "baseline":
         if args.match_design is not None:
-            target = len(harness.load_design(args.match_design).allocation)
+            target = len(harness._load_checked(cfg, args.match_design)[1].allocation)
         else:
             target = args.target_q
         path = harness.run_baseline(cfg, target, args.out)

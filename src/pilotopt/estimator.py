@@ -239,13 +239,18 @@ def reconstruct_channel(estimate: SparseEstimate, dicts: DictionarySet) -> Chann
 
 
 def nmse(h_true: np.ndarray, h_est: np.ndarray) -> float:
-    """Normalized squared error ||h - h_est||^2 / ||h||^2."""
+    """Normalized squared error ||h - h_est||^2 / ||h||^2; one that overflows is refused."""
     h_true = np.asarray(h_true)
     h_est = np.asarray(h_est)
     denom = float(np.sum(np.abs(h_true) ** 2))
     if denom == 0.0:
         raise DegenerateInputError("true channel vector is zero")
-    return float(np.sum(np.abs(h_true - h_est) ** 2)) / denom
+    # At a very low SNR and a small total power the noise fit can overflow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(np.sum(np.abs(h_true - h_est) ** 2)) / denom
+    if not np.isfinite(value):
+        raise DegenerateInputError("the NMSE overflows a float")
+    return value
 
 
 def snr_sigma2(

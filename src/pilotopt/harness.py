@@ -346,8 +346,8 @@ def load_design(path: str | Path) -> PilotDesign:
     return design
 
 
-# Rows per chunk in _write_csv and _write_cdf, and lines per write in _write_runs;
-# one chunk bounds what a writer holds, whatever the row count.
+# Rows per chunk in _write_cdf, and lines per write in _write_runs; one chunk
+# bounds what the CDF writers hold, whatever the row count.
 _CSV_CHUNK = 1 << 10
 
 
@@ -368,23 +368,17 @@ def _write_runs(fh, lines: list[str], ends: np.ndarray) -> None:
         fh.write("".join(map(operator.mul, lines[a:b + 1], map(operator.sub, cuts[1:], cuts))))
 
 
-def _write_csv(path: str | Path, header: list[str], columns) -> None:
-    """Write ``header`` and the equal-length ``columns`` through ``csv.writer``, ``\n``-terminated.
+def _write_csv(path: str | Path, header: list[str], rows) -> None:
+    """Write ``header`` and then ``rows`` through one ``csv.writer``, ``\n``-terminated.
 
-    Columns are read ``_CSV_CHUNK`` rows at a time, so memory stays bounded
-    by one chunk whatever the row count.
+    ``rows`` is any iterable of rows of Python scalars (``str``, ``int``,
+    ``float``). It is read lazily, one row at a time, so a generator's rows
+    are never all held at once.
     """
-    if len(columns) != len(header):
-        raise ValueError("one column per header field is required")
-    n = len(columns[0]) if columns else 0
-    if any(len(col) != n for col in columns):
-        raise ValueError("columns must have equal length")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for start in range(0, n, _CSV_CHUNK):
-            rows = slice(start, start + _CSV_CHUNK)
-            writer.writerows(zip(*(np.asarray(col[rows]).tolist() for col in columns)))
+        writer.writerows(rows)
 
 
 def _write_cdf(path: str | Path, kind: str, runs) -> None:
@@ -404,10 +398,11 @@ def _write_cdf(path: str | Path, kind: str, runs) -> None:
 
 
 def save_trace(trace: OptimizationTrace, path: str | Path) -> None:
+    terms = (trace.loss, trace.f_term, trace.g_term, trace.grad_norm)
     _write_csv(
         path,
         ["iteration", "loss", "f_term", "g_term", "grad_norm"],
-        [trace.iterations, trace.loss, trace.f_term, trace.g_term, trace.grad_norm],
+        zip(map(int, trace.iterations), *(map(float, column) for column in terms)),
     )
 
 
@@ -575,24 +570,27 @@ def run_estimate(
     with ThreadPoolExecutor(max_workers=threads) as pool:
         list(pool.map(run_trial, range(ev.num_trials)))
 
-    tags, snr_values = np.asarray(methods), np.asarray(snrs, dtype=float)
-    method_idx, snr_idx, trial_idx = np.indices(nmse_values.shape).reshape(3, -1)
+    cells = list(itertools.product(enumerate(methods), enumerate(snrs)))
+
+    def trial_rows():
+        # Seeds as Python ints: base_seed is unbounded.
+        for ((i, tag), (j, snr)), t in itertools.product(cells, range(ev.num_trials)):
+            row = [tag, float(snr), t, cfg.base_seed + t, float(nmse_values[i, j, t])]
+            yield row + [float(elapsed_ms[i, j, t])] if timing else row
+
     header = ["method", "snr_db", "trial_index", "seed", "nmse"]
-    # Seeds as Python ints: base_seed is unbounded, numpy ints would wrap.
-    columns = [tags[method_idx], snr_values[snr_idx], trial_idx,
-               cfg.base_seed + trial_idx.astype(object), nmse_values.ravel()]
     if timing:
         header.append("elapsed_ms")
-        columns.append(elapsed_ms.ravel())
     trials_path = out / "trials.csv"
-    _write_csv(trials_path, header, columns)
-    method_idx, snr_idx = np.indices(nmse_values.shape[:2]).reshape(2, -1)
+    _write_csv(trials_path, header, trial_rows())
+    medians = np.median(nmse_values, axis=2).tolist()
+    means = np.mean(nmse_values, axis=2).tolist()
     summary_path = out / "summary.csv"
     _write_csv(
         summary_path,
         ["method", "snr_db", "num_trials", "nmse_median", "nmse_mean"],
-        [tags[method_idx], snr_values[snr_idx], np.broadcast_to(ev.num_trials, method_idx.size),
-         np.median(nmse_values, axis=2).ravel(), np.mean(nmse_values, axis=2).ravel()],
+        ([tag, float(snr), ev.num_trials, medians[i][j], means[i][j]]
+         for (i, tag), (j, snr) in cells),
     )
     return {"trials": trials_path, "summary": summary_path, "methods": methods,
             "nmse": nmse_values}
@@ -669,11 +667,8 @@ def run_sweep(
     for design, row in zip(designs, rows):
         save_design(design, out / row[3])
     table_path = out / "sweep.csv"
-    _write_csv(
-        table_path,
-        ["lambda_bar", "allocation_size", "mutual_coherence", "design_file"],
-        list(zip(*rows)),
-    )
+    _write_csv(table_path, ["lambda_bar", "allocation_size", "mutual_coherence", "design_file"],
+               rows)
     selected = None
     if target_q is not None:
         selected = min(range(len(rows)), key=lambda i: (abs(rows[i][1] - target_q), rows[i][2]))

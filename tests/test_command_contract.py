@@ -235,34 +235,78 @@ _EDGE_COMMANDS = [["design"], ["sweep-lambda", "--lambdas", "0,1.5"],
                   ["sweep-lambda", "--lambdas", "1e200"], ["gradcheck"]]
 
 
+# The 18 other keys (system, grids, channel, evaluation and base_seed), each
+# run through design, a Q = 2 baseline, report and estimate on that baseline,
+# and gradcheck. Ints stop at 3: every larger count only grows the arrays.
+_SMALL_INTS = [0, 1, 2, 3, -1]
+_OTHER_KEYS = {
+    **dict.fromkeys(["bandwidth_hz", "total_power", "tx_spacing_wavelengths",
+                     "rx_spacing_wavelengths", "rician_k_db"], _EDGE_FLOATS),
+    **dict.fromkeys(["num_subcarriers", "num_tx", "num_rx", "seq_len", "num_delay_taps",
+                     "g_theta", "g_phi", "g_tau", "num_paths", "num_trials", "max_sparsity",
+                     "base_seed"], _SMALL_INTS),
+    "snr_db_list": [*_EDGE_FLOATS, "0,0"],
+}
+_OTHER_CASES = [(key, value if isinstance(value, str) else repr(value))
+                for key, values in _OTHER_KEYS.items() for value in values]
+
+
 def test_edge_sweep_covers_every_optimizer_key():
+    # ... and, with the other keys' sweep, every one of the 28 config keys.
     keys = {key for key, (section, _, _) in harness._CONFIG_KEYS.items() if section == "optimizer"}
     assert keys == set(_OPTIMIZER_KEYS)
+    assert not keys & set(_OTHER_KEYS)
+    assert set(harness._CONFIG_KEYS) == keys | set(_OTHER_KEYS)
+    assert len(harness._CONFIG_KEYS) == 28
+
+
+def _check_exit(capsys, argv, out):
+    """Run ``argv`` through ``main`` and check the exit-code contract.
+
+    Exit 0 with finite outputs, or exit 2 or 3 with one stderr line and no
+    file under the directory ``out``; numpy prints no RuntimeWarning on the
+    way. gradcheck (``out`` None) writes no file, so its finite report is
+    its stdout.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
+    assert code in (0, 2, 3), argv
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    files = [path for path in out.rglob("*") if path.is_file()] if out and out.exists() else []
+    if code == 0:
+        assert (files or not out) and not err, argv
+        texts = [path.read_text() for path in files] if out else [captured.out]
+        assert not [text for text in texts if re.search("nan|inf", text, re.I)], argv
+    else:
+        assert not files and len(err) == 1, argv
 
 
 @pytest.mark.parametrize(("key", "value"), _EDGE_CASES,
                          ids=[f"{key}={value!r}" for key, value in _EDGE_CASES])
 def test_optimizer_key_at_edge_value(tmp_path, capsys, key, value):
-    # Exit 0 with finite outputs, or exit 2 or 3 with one stderr line and an
-    # empty --out; numpy prints no RuntimeWarning on the way. gradcheck writes
-    # no file, so its finite report is its stdout.
     cfg_file = tmp_path / "edge.cfg"
     cfg_file.write_text(f"iterations = 3\n{key} = {value!r}\n")
     for i, command in enumerate(_EDGE_COMMANDS):
-        out = tmp_path / f"out_{i}"
-        writes = command != ["gradcheck"]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main([*command, "--profile", "desk", "--config", str(cfg_file),
-                         *(["--out", str(out)] if writes else [])])
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], command
-        assert code in (0, 2, 3), command
-        captured = capsys.readouterr()
-        err = captured.err.splitlines()
-        files = [path for path in out.rglob("*") if path.is_file()] if out.exists() else []
-        if code == 0:
-            assert (files or not writes) and not err, command
-            texts = [path.read_text() for path in files] if writes else [captured.out]
-            assert not [text for text in texts if re.search("nan|inf", text, re.I)], command
-        else:
-            assert not files and len(err) == 1, command
+        out = None if command == ["gradcheck"] else tmp_path / f"out_{i}"
+        _check_exit(capsys, [*command, "--profile", "desk", "--config", str(cfg_file),
+                             *(["--out", str(out)] if out else [])], out)
+
+
+@pytest.mark.parametrize(("key", "value"), _OTHER_CASES,
+                         ids=[f"{key}={value}" for key, value in _OTHER_CASES])
+def test_other_key_at_edge_value(tmp_path, capsys, key, value):
+    cfg_file = tmp_path / "edge.cfg"
+    cfg_file.write_text(f"iterations = 3\nnum_trials = 1\n{key} = {value}\n")
+    base = ["--profile", "desk", "--config", str(cfg_file)]
+    baseline = tmp_path / "b" / "design_b.json"
+    _check_exit(capsys, ["design", *base, "--out", str(tmp_path / "d")], tmp_path / "d")
+    _check_exit(capsys, ["baseline", *base, "--target-q", "2", "--out", str(baseline)],
+                baseline.parent)
+    _check_exit(capsys, ["report", *base, "--design", str(baseline), "--out",
+                         str(tmp_path / "r")], tmp_path / "r")
+    _check_exit(capsys, ["estimate", *base, "--designs", str(baseline), "--out",
+                         str(tmp_path / "e")], tmp_path / "e")
+    _check_exit(capsys, ["gradcheck", *base], None)

@@ -432,6 +432,13 @@ class TestScalarHelpers:
         with pytest.raises(DegenerateInputError):
             nmse(np.zeros(3, dtype=complex), np.ones(3, dtype=complex))
 
+    def test_nmse_overflow_rejected(self):
+        h = np.array([1.0 + 1j, 2.0, -3.0j])
+        with pytest.raises(DegenerateInputError, match="overflows"):
+            nmse(h, np.full(3, 1e200 + 0j))
+        with pytest.raises(DegenerateInputError, match="overflows"):
+            nmse(h, np.array([np.inf, 0.0, 0.0]))
+
     def test_snr_conversion(self):
         assert snr_sigma2(total_power=32.0, num_tx=4, seq_len=4, allocation_size=2,
                           snr_db=0.0) == pytest.approx(1.0)

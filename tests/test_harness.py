@@ -10,6 +10,7 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from pilotopt import (
     ChannelModelConfig,
     ConfigError,
     DegenerateInputError,
+    OptimizationTrace,
     PilotDesign,
     build_dictionaries,
     coherence_report,
@@ -588,23 +590,29 @@ def _oracle_bytes(tmp_path, header, rows):
     return path.read_bytes()
 
 
-# Values a CSV column is drawn from, in runs; "-nan" differs from nan only in its sign bit.
+# Values a CSV field is drawn from, in runs; "-nan" differs from nan only in its sign bit.
 _CSV_POOLS = {
-    "float": (float, [0.0, -0.0, float("nan"), -float("nan"), float("inf"), float("-inf"),
-                      5e-324, 0.1, 1e16]),
-    "int": (np.int64, [0, 1, -7, 2**63 - 1]),
-    "big_int": (object, [0, 3, 2**64 + 5, 10**30]),
-    "text": (str, ["", 'a,"b"', "two\nlines", " padded ", "x", "{0}", "}{"]),
+    "float": [0.0, -0.0, float("nan"), -float("nan"), float("inf"), float("-inf"), 5e-324, 0.1,
+              1e16],
+    "int": [0, 1, -7, 2**63 - 1, 2**64 + 5, 10**30],
+    "text": ["", 'a,"b"', "two\nlines", " padded ", "x", "{0}", "}{"],
 }
+
+
+def _lazy_rows(kind, values):
+    """``(kind, float(v))`` for each of ``values``, one row at a time."""
+    return zip(itertools.repeat(kind), map(float, values))
 
 
 class TestCsvWriter:
     """The table and CDF writers against the row-wise csv.writer route, byte for byte."""
 
-    def _check(self, tmp_path, header, columns, rows):
+    def _check(self, tmp_path, header, rows):
+        # The writer reads ``rows`` through a generator; the oracle gets each float's repr.
         path = tmp_path / "out.csv"
-        harness._write_csv(path, header, columns)
-        assert path.read_bytes() == _oracle_bytes(tmp_path, header, rows)
+        harness._write_csv(path, header, (row for row in rows))
+        expected = [[repr(v) if type(v) is float else v for v in row] for row in rows]
+        assert path.read_bytes() == _oracle_bytes(tmp_path, header, expected)
 
     def test_trace_matches_row_route(self, tiny_cfg, tmp_path):
         dicts = build_dictionaries(tiny_cfg.grids, tiny_cfg.system)
@@ -627,12 +635,19 @@ class TestCsvWriter:
             rows = [(kind, repr(float(v))) for v in expand_runs(runs)]
             assert paths[key].read_bytes() == _oracle_bytes(tmp_path, ["kind", "value"], rows)
 
-    def test_estimate_tables_match_row_route(self, tiny_cfg, tmp_path):
+    def test_estimate_tables_match_row_route(self, tiny_cfg, tmp_path, monkeypatch):
         d = run_design(tiny_cfg, tmp_path / "d")["design"]
         b = run_baseline(tiny_cfg, len(load_design(d).allocation), tmp_path / "design_b.json")
+        # A clock reading (c/8)² at its c-th call: cell c of the one-thread run,
+        # trial by trial, takes calls 2c and 2c + 1.
+        ticks = itertools.count()
+        monkeypatch.setattr(harness, "time",
+                            SimpleNamespace(perf_counter=lambda: (next(ticks) / 8) ** 2))
         out = run_estimate(tiny_cfg, [d, b], tmp_path / "e")
+        timed = run_estimate(tiny_cfg, [d, b], tmp_path / "t", timing=True)
         snrs = tiny_cfg.evaluation.snr_db_list
         nmse_values = out["nmse"]
+        assert np.array_equal(timed["nmse"], nmse_values)
         trial_rows = [
             [out["methods"][i], repr(float(snrs[j])), t, tiny_cfg.base_seed + t,
              repr(float(nmse_values[i, j, t]))]
@@ -640,6 +655,13 @@ class TestCsvWriter:
         ]
         header = ["method", "snr_db", "trial_index", "seed", "nmse"]
         assert out["trials"].read_bytes() == _oracle_bytes(tmp_path, header, trial_rows)
+        n_methods, n_snrs, _ = nmse_values.shape
+        first = 2 * nmse_values.size  # the clock calls of the untimed run come first
+        for row, (i, j, t) in zip(trial_rows, np.ndindex(nmse_values.shape)):
+            c = first + 2 * ((t * n_methods + i) * n_snrs + j)
+            row.append(repr((((c + 1) / 8) ** 2 - (c / 8) ** 2) * 1e3))
+        assert timed["trials"].read_bytes() == _oracle_bytes(
+            tmp_path, [*header, "elapsed_ms"], trial_rows)
         medians = np.median(nmse_values, axis=2)
         means = np.mean(nmse_values, axis=2)
         summary_rows = [
@@ -649,6 +671,7 @@ class TestCsvWriter:
         ]
         header = ["method", "snr_db", "num_trials", "nmse_median", "nmse_mean"]
         assert out["summary"].read_bytes() == _oracle_bytes(tmp_path, header, summary_rows)
+        assert timed["summary"].read_bytes() == out["summary"].read_bytes()
 
     def test_large_base_seed_written_exactly(self, tiny_cfg, tmp_path):
         cfg = replace(tiny_cfg, base_seed=2**64 + 3)
@@ -665,94 +688,70 @@ class TestCsvWriter:
         assert out["table"].read_bytes() == _oracle_bytes(tmp_path, header, rows)
 
     def test_empty_columns_write_header_only(self, tmp_path):
-        empty = np.zeros(0)
-        self._check(tmp_path, ["kind", "value"], [np.broadcast_to("k", 0), empty], [])
-        self._check(tmp_path, ["a", "b"], [[], empty], [])
+        self._check(tmp_path, ["kind", "value"], [])
+        self._check(tmp_path, ["a"], [])
 
     def test_float_edge_values(self, tmp_path):
-        values = np.array([0.0, -0.0, 5e-324, 1e-05, 0.1 + 0.2, 1e16, 1e22, 1.0 / 3.0,
-                           np.nextafter(1.0, 2.0), -1.5e-300, np.inf, -np.inf, np.nan])
-        self._check(tmp_path, ["kind", "value"], [np.broadcast_to("v", values.size), values],
-                    [("v", repr(float(v))) for v in values])
-        # A Python list of numpy scalars formats like the float array.
-        self._check(tmp_path, ["value"], [list(values)], [[repr(float(v))] for v in values])
+        values = [0.0, -0.0, 5e-324, 1e-05, 0.1 + 0.2, 1e16, 1e22, 1.0 / 3.0,
+                  float(np.nextafter(1.0, 2.0)), -1.5e-300, np.inf, -np.inf, np.nan]
+        self._check(tmp_path, ["kind", "value"], [("v", v) for v in values])
+        self._check(tmp_path, ["value"], [[v] for v in values])
 
     def test_large_int_seeds(self, tmp_path):
         seeds = [0, 7, 2**63 - 1, 2**63, 2**64 + 5, 10**30]
-        trials = np.arange(len(seeds))
-        self._check(tmp_path, ["trial", "seed"], [trials, np.asarray(seeds, dtype=object)],
-                    [[t, s] for t, s in zip(range(len(seeds)), seeds)])
-        self._check(tmp_path, ["trial", "seed"], [trials, seeds],
-                    [[t, s] for t, s in zip(range(len(seeds)), seeds)])
+        self._check(tmp_path, ["trial", "seed"], [[t, s] for t, s in enumerate(seeds)])
+        self._check(tmp_path, ["seed", "trial"], [[s, t] for t, s in enumerate(seeds)])
 
     def test_text_quoting(self, tmp_path):
         tags = ['a,"b"', "plain", "", 'say "hi"', "two\nlines", "cr\rhere", " padded ", "x;y"]
-        nums = np.arange(len(tags), dtype=float) / 7.0
-        self._check(tmp_path, ["method", "nmse"], [np.asarray(tags), nums],
-                    [[t, repr(float(v))] for t, v in zip(tags, nums)])
-        self._check(tmp_path, ["nmse", "file"], [nums, tags],
-                    [[repr(float(v)), t] for t, v in zip(tags, nums)])
-        # A broadcast column: braces stay literal, and a lone empty field is still "".
+        nums = [i / 7.0 for i in range(len(tags))]
+        self._check(tmp_path, ["method", "nmse"], [[t, v] for t, v in zip(tags, nums)])
+        self._check(tmp_path, ["nmse", "file"], [[v, t] for t, v in zip(tags, nums)])
+        # One tag on every row: braces stay literal, and a lone empty field is still "".
         for tag in ("{0}", "}{", 'a,"{b}"', ""):
-            self._check(tmp_path, ["method", "nmse"], [np.broadcast_to(tag, nums.size), nums],
-                        [[tag, repr(float(v))] for v in nums])
-        self._check(tmp_path, ["method"], [np.broadcast_to("", 3)], [[""]] * 3)
+            self._check(tmp_path, ["method", "nmse"], [[tag, v] for v in nums])
+        self._check(tmp_path, ["method"], [[""]] * 3)
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_chunk_boundary(self, tmp_path, offset):
+        # The CDF writer's runs at its chunk edge: one row per value, and a last run of 3.
         n = harness._CSV_CHUNK + offset
-        values = np.random.default_rng(offset + 1).random(n)
-        self._check(tmp_path, ["kind", "value"], [np.broadcast_to("inner_product", n), values],
-                    [("inner_product", repr(float(v))) for v in values])
-
-    @pytest.mark.parametrize("n", [1, 4, 5, 6, 11])
-    def test_mixed_columns_across_small_chunks(self, tmp_path, monkeypatch, n):
-        monkeypatch.setattr(harness, "_CSV_CHUNK", 5)
-        rng = np.random.default_rng(n)
-        tags = [("a,b", "c", 'd"e')[i % 3] for i in range(n)]
-        values = rng.standard_normal(n)
-        ints = np.arange(n) * 3
-        columns = [np.broadcast_to('lead,"x"', n), np.asarray(tags), ints,
-                   np.broadcast_to(42, n), values, np.broadcast_to("tail", n)]
-        rows = [['lead,"x"', t, int(i), 42, repr(float(v)), "tail"]
-                for t, i, v in zip(tags, ints, values)]
-        self._check(tmp_path, ["a", "b", "c", "d", "e", "f"], columns, rows)
-        # Only constant columns: every row is the same text.
-        self._check(tmp_path, ["a", "b"], columns[-1:] + columns[:1],
-                    [["tail", 'lead,"x"']] * n)
+        values = np.sort(np.random.default_rng(offset + 1).random(n))
+        counts = np.ones(n, dtype=np.int64)
+        counts[-1] = 3
+        path = tmp_path / "cdf.csv"
+        harness._write_cdf(path, "inner_product", (values, counts))
+        rows = [("inner_product", repr(float(v))) for v in expand_runs((values, counts))]
+        assert path.read_bytes() == _oracle_bytes(tmp_path, ["kind", "value"], rows)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_runs_match_row_route(self, tmp_path, monkeypatch, data):
-        monkeypatch.setattr(harness, "_CSV_CHUNK", data.draw(st.integers(1, 7)))
+    def test_runs_match_row_route(self, tmp_path, data):
         n = data.draw(st.integers(0, 40))
-        columns, rows = [], [[] for _ in range(n)]
-        # A lone text column is drawn often: csv writes its empty field as "". With
+        rows = [[] for _ in range(n)]
+        # A lone text field is drawn often: csv writes its empty field as "". With
         # 200 examples the mixed draws stay at least as many as 100 plain draws gave.
         kinds = data.draw(st.just(["text"])
                           | st.lists(st.sampled_from(sorted(_CSV_POOLS)), min_size=1, max_size=4))
         for kind in kinds:
-            dtype, pool = _CSV_POOLS[kind]
-            if data.draw(st.booleans()):  # one value broadcast over the rows
-                value = data.draw(st.sampled_from(pool))
-                values = [value] * n
-                columns.append(np.broadcast_to(np.asarray(value, dtype=dtype), n))
+            pool = _CSV_POOLS[kind]
+            if data.draw(st.booleans()):  # one value on every row
+                values = [data.draw(st.sampled_from(pool))] * n
             else:
                 values = []
                 while len(values) < n:
                     values += [data.draw(st.sampled_from(pool))] * data.draw(st.integers(1, 9))
-                columns.append(np.asarray(values[:n], dtype=dtype))
             for row, v in zip(rows, values):
-                row.append(repr(v) if kind == "float" else v)
-        self._check(tmp_path, [f"c{i}" for i in range(len(columns))], columns, rows)
+                row.append(v)
+        self._check(tmp_path, [f"c{i}" for i in range(len(kinds))], rows)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_cdf_runs_match_row_route(self, tmp_path, monkeypatch, data):
         monkeypatch.setattr(harness, "_CSV_CHUNK", data.draw(st.integers(1, 7)))
-        values = sorted(data.draw(st.lists(st.sampled_from(_CSV_POOLS["float"][1]), max_size=40)))
+        values = sorted(data.draw(st.lists(st.sampled_from(_CSV_POOLS["float"]), max_size=40)))
         counts = data.draw(st.lists(st.integers(1, 9), min_size=len(values), max_size=len(values)))
         path = tmp_path / "cdf.csv"
         harness._write_cdf(path, "inner_product", (np.asarray(values), np.asarray(counts)))
@@ -760,11 +759,10 @@ class TestCsvWriter:
         assert path.read_bytes() == _oracle_bytes(tmp_path, ["kind", "value"], rows)
 
     @staticmethod
-    def _cdf_columns():
+    def _cdf_values():
         # About 300 k sorted values in runs of 1 to 29, as in a report CDF.
         distinct = np.random.default_rng(0).random(20_000)
-        values = np.sort(np.repeat(distinct, np.arange(distinct.size) % 29 + 1))
-        return [np.broadcast_to("inner_product", values.size), values]
+        return np.sort(np.repeat(distinct, np.arange(distinct.size) % 29 + 1))
 
     def test_paper_report_cdfs_match_row_route(self, tmp_path, paper_baseline):
         # The full 2.1 M-row inner-product CDF takes seconds through the row route;
@@ -776,19 +774,17 @@ class TestCsvWriter:
         edges = np.arange(harness._CSV_CHUNK, part.size, harness._CSV_CHUNK)
         assert np.any(part[edges] == part[edges - 1])
         for kind, values in (("inner_product", part), ("column_norm", norms)):
-            self._check(tmp_path, ["kind", "value"], [np.broadcast_to(kind, values.size), values],
-                        [(kind, repr(float(v))) for v in values])
-        # The whole files, written from the runs, against the expanded arrays.
+            self._check(tmp_path, ["kind", "value"], [(kind, float(v)) for v in values])
+        # The whole files, written from the runs, against the expanded arrays' rows.
         paths = harness.save_report(report, tmp_path / "r")
         for key, kind, values in (("inner", "inner_product", inner), ("norm", "column_norm", norms)):
             expanded = tmp_path / f"{key}.csv"
-            harness._write_csv(expanded, ["kind", "value"],
-                               [np.broadcast_to(kind, values.size), values])
+            harness._write_csv(expanded, ["kind", "value"], _lazy_rows(kind, values))
             assert paths[key].read_bytes() == expanded.read_bytes()
 
     def test_each_run_formatted_once(self, tmp_path, monkeypatch):
         # The CDF writer formats one line per (value, count) run, never one per row.
-        kind, values = self._cdf_columns()
+        values = self._cdf_values()
         distinct, counts = np.unique(values, return_counts=True)
         lines = []
 
@@ -800,15 +796,17 @@ class TestCsvWriter:
         monkeypatch.setattr(harness, "_write_runs", runs)
         harness._write_cdf(tmp_path / "runs.csv", "inner_product", (distinct, counts))
         assert len(lines) == distinct.size
-        harness._write_csv(tmp_path / "rows.csv", ["kind", "value"], [kind, values])
+        harness._write_csv(tmp_path / "rows.csv", ["kind", "value"],
+                           _lazy_rows("inner_product", values))
         assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "runs.csv").read_bytes()
 
     def test_memory_bounded_by_one_chunk(self, tmp_path):
-        kind, values = self._cdf_columns()
+        # 300 k rows from a generator: the writer holds one row at a time.
+        values = self._cdf_values()
         path = tmp_path / "cdf.csv"
         tracemalloc.start()
         try:
-            harness._write_csv(path, ["kind", "value"], [kind, values])
+            harness._write_csv(path, ["kind", "value"], _lazy_rows("inner_product", values))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -837,20 +835,14 @@ class TestCsvWriter:
     def test_memory_bounded_when_rows_differ(self, tmp_path):
         # A 2 000-iteration trace: no two rows are equal, so every row is formatted.
         rng = np.random.default_rng(0)
-        columns = [np.arange(2000), *rng.random((4, 2000))]
+        trace = OptimizationTrace(np.arange(2000), *rng.random((4, 2000)))
         tracemalloc.start()
         try:
-            harness._write_csv(tmp_path / "trace.csv", list("abcde"), columns)
+            harness.save_trace(trace, tmp_path / "trace.csv")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 1 << 19
-
-    def test_mismatched_columns_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="equal length"):
-            harness._write_csv(tmp_path / "x.csv", ["a", "b"], [[1, 2], [1]])
-        with pytest.raises(ValueError, match="header"):
-            harness._write_csv(tmp_path / "x.csv", ["a"], [[1], [2]])
 
     def test_quoted_method_tag_reads_back(self, tiny_cfg, tmp_path):
         d = run_design(tiny_cfg, tmp_path / "d")["design"]
@@ -966,6 +958,20 @@ class TestCli:
             main(["sweep-lambda", "--out", str(tmp_path / "s"), "--lambdas", lambdas])
         assert exc.value.code == 2
         assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("source", ["paper", "desk_other_pt"])
+    def test_match_design_from_another_config_exit_code(self, tmp_path, capsys, source):
+        # --match-design reads its design through the same check as report and estimate.
+        cfg = load_experiment_config("paper" if source == "paper" else "desk")
+        if source == "desk_other_pt":
+            cfg = replace(cfg, system=replace(cfg.system, total_power=256.0))
+        design = tmp_path / "design_src.json"
+        save_design(make_baseline_design(cfg, 8, 0), design)
+        out = tmp_path / "b" / "design_b.json"
+        assert main(["baseline", "--profile", "desk", "--match-design", str(design),
+                     "--out", str(out)]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("target_q", ["0", "99"])
     def test_out_of_range_target_q_exit_code(self, tmp_path, target_q):
@@ -1133,11 +1139,13 @@ class TestCli:
     @pytest.mark.parametrize(
         ("snr", "total_power", "code"),
         [("4000", 512.0, 2), ("1e308", 512.0, 2), ("-1e308", 512.0, 2), ("-3060", 512.0, 3),
-         ("-3080", 512.0, 3), ("-3000", 1e300, 3), ("3080", 512.0, 0)],
+         ("-3080", 512.0, 3), ("-3000", 1e300, 3), ("3080", 512.0, 0), ("-3080", 1.0, 3),
+         ("-3080", 1e-320, 3)],
     )
     def test_extreme_snr_exit_code(self, tmp_path, snr, total_power, code):
         # 10^(snr/10) must be a finite, nonzero float; a measurement whose
-        # norm overflows is a numerical failure, not an all-1.0 NMSE table.
+        # norm overflows is a numerical failure, not an all-1.0 NMSE table,
+        # and so is an NMSE that overflows (at a small Pt), not an inf one.
         cfg_file = tmp_path / "snr.cfg"
         cfg_file.write_text(f"num_trials = 2\ntotal_power = {total_power}\nsnr_db_list = {snr}\n")
         desk = load_experiment_config("desk")
