@@ -111,10 +111,10 @@ class SensingOperator:
     ``c_d`` (G_tau, G_phi, G_phi) of the Omega Gram; with ``ar_gram = A_r^H
     A_r`` they give ``Psi^H Psi = (Omega^H Omega) kron ar_gram`` column by
     column. ``omega_norms`` (one per g_phi, since ``|b_k| = 1``) and
-    ``ar_norms`` are the factors' column norms, and ``column_norms``, their
-    Kronecker product, those of ``Psi``. Construction refuses a zero
-    column of either factor: its normalized inner products are undefined,
-    and OMP could never select it.
+    ``ar_norms`` are the factors' column norms, ``column_norms``, their
+    Kronecker product, those of ``Psi``, and ``inv_column_norms`` their
+    reciprocals. Construction refuses a zero column of either factor: its
+    normalized inner products are undefined, and OMP could never select it.
 
     OMP reads the Gram normalized by the output column: ``gram_column`` and
     the A_r Gram rows are divided by the norms of the columns they
@@ -136,6 +136,7 @@ class SensingOperator:
             if zero.size:
                 raise DegenerateInputError(f"column {int(zero[0])} of {what} has zero norm")
         self.column_norms = np.kron(np.tile(self.omega_norms, b_sel.shape[1]), self.ar_norms)
+        self.inv_column_norms = 1.0 / self.column_norms
         self._inv_omega_norms = 1.0 / self.omega_norms
         self._ar_rows = (self.ar_gram / self.ar_norms[:, None]).T  # row i: A_r Gram column i, normalized
 

@@ -183,7 +183,7 @@ def omp_solve(
     coefficients = np.zeros(0, dtype=complex)
     residual_norm = y_norm
     alpha0 = operator.rmatvec(y)
-    alpha0 *= 1.0 / operator.column_norms  # a complex divide takes about 3.5x as long
+    alpha0 *= operator.inv_column_norms  # a complex divide takes about 3.5x as long
 
     while len(support) < max_sparsity and residual_norm > floor:
         s = len(support)

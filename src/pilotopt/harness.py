@@ -35,13 +35,7 @@ from .coherence import (
 from .dictionary import GridSpec, build_dictionaries
 from .errors import ConfigError, DegenerateInputError
 from .estimator import SOLVERS, nmse, reconstruct_channel, snr_sigma2, synthesize_measurement
-from .optimizer import (
-    OptimizationTrace,
-    OptimizerConfig,
-    gaussian_init,
-    loss_and_gradient,
-    optimize,
-)
+from .optimizer import OptimizerConfig, TraceRecord, gaussian_init, loss_and_gradient, optimize
 
 __all__ = [
     "ChannelModelConfig",
@@ -341,7 +335,9 @@ def load_design(path: str | Path) -> PilotDesign:
         raise ConfigError("design", f"nonzero pilot blocks outside the allocation in {path}")
     with np.errstate(over="ignore"):  # an overflowing power is inf and refused below
         power = float(np.sum(np.abs(blocks) ** 2))
-    if abs(power - pt) > 1e-9 * max(pt, 1.0):
+    # Relative down to the smallest normal float, absolute below it: a design
+    # rescaled to a subnormal Pt by Pt / power carries Pt only to about 1 %.
+    if abs(power - pt) > 1e-9 * max(pt, sys.float_info.min):
         raise ConfigError("design", f"stored power {power} != declared Pt {pt}")
     return design
 
@@ -368,7 +364,7 @@ def _write_runs(fh, lines: list[str], ends: np.ndarray) -> None:
         fh.write("".join(map(operator.mul, lines[a:b + 1], map(operator.sub, cuts[1:], cuts))))
 
 
-def _write_csv(path: str | Path, header: list[str], rows) -> None:
+def _write_csv(path: str | Path, header, rows) -> None:
     """Write ``header`` and then ``rows`` through one ``csv.writer``, ``\n``-terminated.
 
     ``rows`` is any iterable of rows of Python scalars (``str``, ``int``,
@@ -397,13 +393,8 @@ def _write_cdf(path: str | Path, kind: str, runs) -> None:
             _write_runs(fh, lines, np.cumsum(counts[rows]))
 
 
-def save_trace(trace: OptimizationTrace, path: str | Path) -> None:
-    terms = (trace.loss, trace.f_term, trace.g_term, trace.grad_norm)
-    _write_csv(
-        path,
-        ["iteration", "loss", "f_term", "g_term", "grad_norm"],
-        zip(map(int, trace.iterations), *(map(float, column) for column in terms)),
-    )
+def save_trace(trace: list[TraceRecord], path: str | Path) -> None:
+    _write_csv(path, TraceRecord._fields, trace)
 
 
 def save_report(report: CoherenceReport, out_dir: str | Path, stem: str = "") -> dict:

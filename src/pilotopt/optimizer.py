@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .errors import DegenerateInputError, OptimizationDivergenceError
 
 __all__ = [
     "OptimizerConfig",
-    "OptimizationTrace",
+    "TraceRecord",
     "block_penalty",
     "loss_and_gradient",
     "optimize",
@@ -74,15 +75,14 @@ class OptimizerConfig:
             raise ValueError("seed must be non-negative")
 
 
-@dataclass
-class OptimizationTrace:
-    """Recorded loss terms per iteration."""
+class TraceRecord(NamedTuple):
+    """One recorded pass's loss terms; ``trace.csv``'s row and header."""
 
-    iterations: np.ndarray
-    loss: np.ndarray
-    f_term: np.ndarray
-    g_term: np.ndarray
-    grad_norm: np.ndarray
+    iteration: int
+    loss: float
+    f_term: float
+    g_term: float
+    grad_norm: float
 
 
 def block_penalty(blocks: np.ndarray, q: float) -> float:
@@ -187,8 +187,11 @@ def optimize(
     cfg: OptimizerConfig,
     total_power: float,
     trace_every: int = 1,
-) -> tuple[PilotDesign, OptimizationTrace]:
-    """Run Adam on the Wirtinger gradient and return the final design.
+) -> tuple[PilotDesign, list[TraceRecord]]:
+    """Run Adam on the Wirtinger gradient; return the final design and its trace.
+
+    The trace holds one ``TraceRecord`` for every ``trace_every``-th pass
+    and for passes ``T - 1`` and ``T``, in pass order.
 
     The loop is scale-free; the power budget enters only through the final
     rescaling ``X = sqrt(Pt) * X / ||X||_F`` before thresholding. Raises
@@ -213,7 +216,7 @@ def optimize(
     v = np.zeros(x.shape)
     g2 = np.empty(x.shape)  # |g|^2, then v_hat; also _gradient's real scratch
     scratch = (g2, np.empty_like(x))
-    records: list[tuple[int, float, float, float, float]] = []
+    trace: list[TraceRecord] = []
 
     # Pass t evaluates the iterate after t Adam steps; pass T, the final state, is
     # recorded but not stepped from. Warnings are off: the finiteness checks catch overflow.
@@ -227,7 +230,7 @@ def optimize(
             if not np.isfinite(grad_sq):
                 raise OptimizationDivergenceError(t, "squared gradient norm is not finite")
             if t % trace_every == 0 or t >= cfg.iterations - 1:
-                records.append((t, loss_val, f_term, g_term, math.sqrt(grad_sq)))
+                trace.append(TraceRecord(t, float(loss_val), f_term, float(g_term), math.sqrt(grad_sq)))
             if t == cfg.iterations:
                 break
             # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) |g|^2
@@ -246,6 +249,4 @@ def optimize(
     del engine, m, v, scratch, g2, grad  # and the loop's arrays before the final rescaling
 
     scaled = np.sqrt(total_power) / math.sqrt(np.sum(np.abs(x) ** 2)) * x
-    design = extract_allocation(scaled, cfg.zero_threshold_rel, total_power)
-    trace = OptimizationTrace(*(np.asarray(column) for column in zip(*records)))
-    return design, trace
+    return extract_allocation(scaled, cfg.zero_threshold_rel, total_power), trace

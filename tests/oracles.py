@@ -40,9 +40,9 @@ import numpy as np
 
 from pilotopt import (
     CoherenceEngine,
-    OptimizationTrace,
     PilotDesign,
     SparseEstimate,
+    TraceRecord,
     block_penalty,
     delay_response,
     extract_allocation,
@@ -298,11 +298,12 @@ def reference_optimize(initial_blocks, dicts, cfg, total_power, trace_every=1):
     engine = CoherenceEngine(dicts)
     m = np.zeros_like(x)
     v = np.zeros(x.shape)
-    records = []
+    trace = []
     for t in range(cfg.iterations + 1):
         grad, loss_val, f_term, g_term = reference_gradient(x, engine, cfg)
         if t % trace_every == 0 or t >= cfg.iterations - 1:
-            records.append((t, loss_val, f_term, g_term, math.sqrt(np.sum(np.abs(grad) ** 2))))
+            grad_norm = math.sqrt(np.sum(np.abs(grad) ** 2))
+            trace.append(TraceRecord(t, float(loss_val), f_term, float(g_term), grad_norm))
         if t == cfg.iterations:
             break
         m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
@@ -311,9 +312,7 @@ def reference_optimize(initial_blocks, dicts, cfg, total_power, trace_every=1):
         v_hat = v / (1.0 - cfg.beta2 ** (t + 1))
         x = x - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
     scaled = np.sqrt(total_power) / math.sqrt(np.sum(np.abs(x) ** 2)) * x
-    design = extract_allocation(scaled, cfg.zero_threshold_rel, total_power)
-    trace = OptimizationTrace(*(np.asarray(column) for column in zip(*records)))
-    return design, trace
+    return extract_allocation(scaled, cfg.zero_threshold_rel, total_power), trace
 
 
 def t_p_dictionary(a_r, p):

@@ -72,7 +72,7 @@ def optimized(desk):
         cfg.system.num_subcarriers, cfg.system.num_tx, cfg.system.seq_len, cfg.optimizer.seed
     )
     design, trace = optimize(x0, dicts, cfg.optimizer, cfg.system.total_power, trace_every=10)
-    assert trace.loss[-1] <= trace.loss[0]  # shipped defaults must make progress
+    assert trace[-1].loss <= trace[0].loss  # shipped defaults must make progress
     return design, trace
 
 
@@ -184,9 +184,9 @@ def test_criterion_05_optimization_progress(desk):
             cfg.system.num_subcarriers, cfg.system.num_tx, cfg.system.seq_len, seed
         )
         _, trace = optimize(x0, dicts, opt, cfg.system.total_power)
-        drops.append(1.0 - trace.f_term[-1] / trace.f_term[0])
+        drops.append(1.0 - trace[-1].f_term / trace[0].f_term)
         window = np.ones(100) / 100.0
-        smoothed = np.convolve(trace.loss, window, mode="valid")
+        smoothed = np.convolve([r.loss for r in trace], window, mode="valid")
         smoothed_ok.append(smoothed[-1] < smoothed[0])
     median_drop = float(np.median(drops))
     _report(

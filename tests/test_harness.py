@@ -21,8 +21,8 @@ from pilotopt import (
     ChannelModelConfig,
     ConfigError,
     DegenerateInputError,
-    OptimizationTrace,
     PilotDesign,
+    TraceRecord,
     build_dictionaries,
     coherence_report,
     gaussian_init,
@@ -618,12 +618,12 @@ class TestCsvWriter:
         dicts = build_dictionaries(tiny_cfg.grids, tiny_cfg.system)
         x0 = gaussian_init(16, 8, 4, 0)
         _, trace = optimize(x0, dicts, tiny_cfg.optimizer, tiny_cfg.system.total_power)
-        columns = (trace.loss, trace.f_term, trace.g_term, trace.grad_norm)
-        rows = [[int(it), *(repr(float(v)) for v in values)]
-                for it, *values in zip(trace.iterations, *columns)]
+        rows = [[it, *map(repr, values)] for it, *values in trace]
         harness.save_trace(trace, tmp_path / "trace.csv")
         header = ["iteration", "loss", "f_term", "g_term", "grad_norm"]
         assert (tmp_path / "trace.csv").read_bytes() == _oracle_bytes(tmp_path, header, rows)
+        with open(tmp_path / "trace.csv") as fh:
+            assert fh.readline() == ",".join(TraceRecord._fields) + "\n"
 
     def test_report_cdfs_match_row_route(self, tiny_cfg, tmp_path):
         d = run_design(tiny_cfg, tmp_path / "d")["design"]
@@ -835,7 +835,7 @@ class TestCsvWriter:
     def test_memory_bounded_when_rows_differ(self, tmp_path):
         # A 2 000-iteration trace: no two rows are equal, so every row is formatted.
         rng = np.random.default_rng(0)
-        trace = OptimizationTrace(np.arange(2000), *rng.random((4, 2000)))
+        trace = [TraceRecord(i, *values) for i, values in enumerate(rng.random((2000, 4)).tolist())]
         tracemalloc.start()
         try:
             harness.save_trace(trace, tmp_path / "trace.csv")
@@ -1135,6 +1135,27 @@ class TestCli:
         with open(out / "summary.csv", newline="") as fh:
             medians = [float(row["nmse_median"]) for row in csv.DictReader(fh)]
         assert medians and all(0.0 < value < 1.0 for value in medians)
+
+    def test_scaled_design_below_unit_power_refused(self, tmp_path, capsys):
+        # Below Pt = 1 the power check stays relative: a design whose pilots are
+        # scaled by 30 carries 900 times its declared Pt and is refused.
+        cfg_file = tmp_path / "small_power.cfg"
+        cfg_file.write_text("total_power = 1e-12\nnum_trials = 20\n")
+        design = tmp_path / "design_gauss.json"
+        argv = ["--config", str(cfg_file)]
+        assert main(["baseline", *argv, "--target-q", "4", "--out", str(design)]) == 0
+        payload = json.loads(design.read_text())
+        for key in ("x_real", "x_imag"):
+            payload[key] = [[30.0 * v for v in row] for row in payload[key]]
+        design.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match="stored power"):
+            load_design(design)
+        capsys.readouterr()
+        for command, extra in (("report", "--design"), ("estimate", "--designs")):
+            out = tmp_path / command
+            assert main([command, *argv, "--out", str(out), extra, str(design)]) == 2
+            assert len(capsys.readouterr().err.splitlines()) == 1
+            assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize(
         ("snr", "total_power", "code"),
