@@ -278,7 +278,6 @@ class CoherenceEngine:
         self._mult = _pair_multiplicity(self.g_tau)
         self._w_t = dicts.delay_weights.T.copy()  # (G_tau, K)
         self._w_conj = dicts.delay_weights.conj()  # (K, G_tau)
-        self._at_h = dicts.a_t.conj().T  # (G_phi, Nt)
         self._at_t = dicts.a_t.T.copy()  # (G_phi, Nt)
         self._at_conj = dicts.a_t.conj()  # (Nt, G_phi)
         self._work = None
@@ -291,7 +290,7 @@ class CoherenceEngine:
         command calls it; it stays as the benchmark's ``coherence.gram``
         span until the benchmark wraps ``_gram_rows`` instead.
         """
-        r = np.matmul(self._at_h[None, :, :], blocks)  # (K, G_phi, M)
+        r = np.matmul(self._at_conj.T[None, :, :], blocks)  # (K, G_phi, M)
         return _gram_rows(r, self._w_t).reshape(self.g_tau, -1)
 
     def _buffers(self, shape: tuple[int, ...]) -> SimpleNamespace:

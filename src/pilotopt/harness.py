@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import operator
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -556,9 +557,9 @@ def run_estimate(
             nmse_values[i, j, trial] = nmse(h.stacked, h_hat.stacked)
             elapsed_ms[i, j, trial] = (time.perf_counter() - started) * 1e3
 
-    # ``threads`` trials at once, each writing only its own cells; a failing
-    # trial's error reaches the caller and cancels the trials not yet started.
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    # No more workers than ``threads``, trials or CPUs; each trial writes only its
+    # own cells, and a failing one's error reaches the caller and cancels those not started.
+    with ThreadPoolExecutor(max_workers=min(threads, ev.num_trials, os.cpu_count() or 1)) as pool:
         list(pool.map(run_trial, range(ev.num_trials)))
 
     cells = list(itertools.product(enumerate(methods), enumerate(snrs)))

@@ -27,7 +27,6 @@ from .errors import DegenerateInputError, OptimizationDivergenceError
 __all__ = [
     "OptimizerConfig",
     "TraceRecord",
-    "block_penalty",
     "loss_and_gradient",
     "optimize",
     "extract_allocation",
@@ -85,17 +84,6 @@ class TraceRecord(NamedTuple):
     grad_norm: float
 
 
-def block_penalty(blocks: np.ndarray, q: float) -> float:
-    """Block-sparse penalty (sum_k ||X_k||_F^q)^(1/q)."""
-    if not 0.0 < q <= 1.0:
-        raise ValueError("q must lie in (0, 1]")
-    return _penalty(np.linalg.norm(blocks, axis=(1, 2)), q)
-
-
-def _penalty(norms: np.ndarray, q: float) -> float:
-    return float(np.sum(norms**q) ** (1.0 / q))
-
-
 def _gradient(
     blocks: np.ndarray, engine: CoherenceEngine, cfg: OptimizerConfig,
     scratch: tuple[np.ndarray, np.ndarray],
@@ -126,7 +114,7 @@ def _gradient(
         # np.linalg.norm(blocks, axis=(1, 2)), once, with its conj(X) X in the scratch.
         np.multiply(np.conjugate(blocks, out=cplx), blocks, out=cplx)
         norms = np.sqrt(np.add.reduce(cplx.real, axis=(1, 2)))
-        g_val = _penalty(norms, cfg.q)
+        g_val = float(np.sum(norms**cfg.q) ** (1.0 / cfg.q))  # (sum_k ||X_k||_F^q)^(1/q)
         g_term = cfg.lambda_bar * g_val / total
         safe = np.maximum(norms, _BLOCK_NORM_FLOOR)
         # Minimal-norm subgradient: exactly-zero blocks contribute nothing.

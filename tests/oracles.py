@@ -14,6 +14,8 @@ dictionary coherence from its dense Gram, the flat grid index of a
 (delay, AoD, AoA) tuple, the channel of a virtual-gain vector and of a
 path realization as sums of Kronecker (Khatri-Rao) columns. ``f_omega``
 is the engine's objective value alone, for tests that need no gradient.
+``block_penalty`` is the block-sparse penalty from each block's
+``np.linalg.norm``, the term the design loss adds to the coherence quotient.
 ``one_product_gram_rows`` forms the delay-difference rows from the whole
 (Q, G_phi, G_phi) stack of column products in one product; the library's
 blocked ``coherence._gram_rows`` must match it bit for bit.
@@ -43,7 +45,6 @@ from pilotopt import (
     PilotDesign,
     SparseEstimate,
     TraceRecord,
-    block_penalty,
     delay_response,
     extract_allocation,
     steering_vector,
@@ -271,6 +272,13 @@ def full_gram_value_and_vgrad(blocks, dicts, p):
     s1 = np.matmul(np.matmul(a_t, f_kphi.transpose(0, 2, 1)), a_t.conj().T)
     vgrad = np.matmul(s1 + s1.conj().transpose(0, 2, 1), blocks)
     return float(v_p ** (1.0 / p)), v_p, vgrad
+
+
+def block_penalty(blocks, q):
+    """Block-sparse penalty (sum_k ||X_k||_F^q)^(1/q) from ``np.linalg.norm`` of each block."""
+    if not 0.0 < q <= 1.0:
+        raise ValueError("q must lie in (0, 1]")
+    return float(np.sum(np.linalg.norm(blocks, axis=(1, 2)) ** q) ** (1.0 / q))
 
 
 def reference_gradient(blocks, engine, cfg):

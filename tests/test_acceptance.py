@@ -21,11 +21,11 @@ from pilotopt import (
     PilotDesign,
     SystemConfig,
     assemble_channel,
-    block_penalty,
     build_dictionaries,
     build_sensing_matrix,
     coherence_report,
     gaussian_init,
+    load_design,
     load_experiment_config,
     loss_and_gradient,
     make_baseline_design,
@@ -34,6 +34,8 @@ from pilotopt import (
     omp_solve,
     optimize,
     reconstruct_channel,
+    run_baseline,
+    run_design,
     run_estimate,
     save_design,
     synthesize_measurement,
@@ -42,6 +44,7 @@ from pilotopt import (
 from pilotopt.cli import main as cli_main
 
 from oracles import (
+    block_penalty,
     build_omega,
     c_omega,
     expand_runs,
@@ -428,4 +431,44 @@ def test_criterion_11_estimate_determinism(tmp_path):
         "criterion 11 (estimate determinism)",
         ok,
         "two single-threaded runs produced byte-identical trials.csv and summary.csv",
+    )
+
+
+def test_criterion_12_seed_grid_ordering(desk, tmp_path):
+    # Criterion, fixed before the run: on every (opt_seed, base_seed) pair of a
+    # 4 x 4 grid, the optimized design has the lower median NMSE (10 dB, 200
+    # trials) and the lower generalized coherence than the matched baseline.
+    # A trial's channel seed is base_seed + trial, so base seeds spaced 1000
+    # apart share no channel; seeds 0..3 would share 199 of their 200.
+    cfg, dicts = desk
+    ev = dataclasses.replace(cfg.evaluation, snr_db_list=(10.0,), num_trials=200)
+    pairs = []
+    for opt_seed in range(4):
+        opt_cfg = dataclasses.replace(cfg.optimizer, seed=opt_seed)
+        # The design depends on opt_seed alone, so each row of the grid shares it.
+        opt_path = run_design(dataclasses.replace(cfg, optimizer=opt_cfg),
+                              tmp_path / f"d{opt_seed}")["design"]
+        optimized = load_design(opt_path)
+        p_opt = coherence_report(optimized, dicts, cfg.optimizer.p).generalized
+        for base_seed in (0, 1000, 2000, 3000):
+            run_cfg = dataclasses.replace(cfg, optimizer=opt_cfg, evaluation=ev,
+                                          base_seed=base_seed)
+            out = tmp_path / f"{opt_seed}_{base_seed}"
+            base_path = run_baseline(run_cfg, len(optimized.allocation),
+                                     out / "design_gauss_random.json")
+            med_opt, med_base = np.median(
+                run_estimate(run_cfg, [opt_path, base_path], out / "e")["nmse"][:, 0], axis=1
+            )
+            p_base = coherence_report(load_design(base_path), dicts, cfg.optimizer.p).generalized
+            pairs.append((opt_seed, base_seed, med_opt, med_base, p_opt, p_base))
+    ordered = [r for r in pairs if r[2] < r[3] and r[4] < r[5]]
+    nmse_pair = min(pairs, key=lambda r: (r[3] - r[2]) / r[3])
+    p_pair = min(pairs, key=lambda r: (r[5] - r[4]) / r[5])
+    _report(
+        "criterion 12 (desk ordering over a seed grid)",
+        len(ordered) == len(pairs),
+        f"{len(ordered)} of {len(pairs)} (opt_seed, base_seed) pairs ordered on both "
+        f"measures; closest median NMSE {nmse_pair[2]:.4f} < {nmse_pair[3]:.4f} "
+        f"{nmse_pair[:2]}, closest generalized_p {p_pair[4]:.2f} < {p_pair[5]:.2f} "
+        f"{p_pair[:2]}",
     )

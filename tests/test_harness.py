@@ -399,6 +399,30 @@ class TestRunEstimate:
         par = run_estimate(cfg, [d], tmp_path / "p", threads=2)
         assert seq["trials"].read_bytes() == par["trials"].read_bytes()
 
+    def test_workers_bounded_by_trials_and_cpus(self, tiny_cfg, tmp_path, monkeypatch):
+        # The stub records the worker count and runs the trials in this thread,
+        # so a huge --threads is tried without starting a single thread.
+        requested = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", InlinePool)
+        design = run_baseline(tiny_cfg, 8, tmp_path / "design_b.json")
+        run_estimate(tiny_cfg, [design], tmp_path / "e", threads=10**6)
+        assert requested[0] <= tiny_cfg.evaluation.num_trials
+        assert requested[0] <= (os.cpu_count() or 1)
+
     def test_memory_does_not_grow_with_trials(self, tmp_path):
         # Only running trials hold a channel (262 KiB each on paper), so ten
         # times the trials leaves the traced peak within 1 MiB.

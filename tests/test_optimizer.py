@@ -11,7 +11,6 @@ from pilotopt import (
     OptimizerConfig,
     SystemConfig,
     TraceRecord,
-    block_penalty,
     build_dictionaries,
     extract_allocation,
     gaussian_init,
@@ -20,7 +19,7 @@ from pilotopt import (
     optimize,
 )
 
-from oracles import f_omega, reference_optimize
+from oracles import block_penalty, f_omega, reference_optimize
 
 
 def small_setup(seed=0):
