@@ -21,6 +21,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import get_type_hints
 
@@ -64,6 +65,11 @@ _GRADCHECK_STREAM = 3
 _GRADCHECK_PAIRS = 10
 _GRADCHECK_STEP = 1e-5
 _GRADCHECK_TOL = 1e-4
+
+# Trials per block of run_estimate: a block's channel realizations (about
+# 3.6 KiB each on paper) are held while every design runs its trials, and each
+# design's sensing operator is built once per block.
+_TRIAL_BLOCK = 64
 
 # Within ±_MAX_DB dB, 10^(value/10) is a finite, nonzero float.
 _MAX_DB = 10 * sys.float_info.max_10_exp
@@ -502,10 +508,14 @@ def run_estimate(
 
     Per (method, SNR, trial): draw a channel with seed ``base_seed +
     trial``, synthesize the noisy measurement, solve with OMP, score NMSE.
-    A trial draws its channel once and runs every cell on it, so
-    comparisons are paired; only running trials hold a channel. Writes
-    ``trials.csv`` and ``summary.csv``; the volatile per-trial timing
-    column is emitted only when ``timing`` is on.
+    Trials run in blocks of ``_TRIAL_BLOCK``: each trial's path realization
+    is drawn once, and each design in turn runs the block's trials on the
+    channel assembled from it, so comparisons are paired. One design's
+    sensing operator is held at a time, and realizations only for a block
+    of trials, so memory grows with neither the trial count nor the design
+    count. Writes ``trials.csv`` and ``summary.csv`` after the last trial;
+    the volatile per-trial timing column is emitted only when ``timing`` is
+    on.
     """
     ev = cfg.evaluation
     designs: dict[str, PilotDesign] = {}
@@ -534,33 +544,41 @@ def run_estimate(
     out.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before any trial
     sys_cfg = cfg.system
     dicts = build_dictionaries(cfg.grids, sys_cfg)
-    operators = [build_sensing_matrix(d, dicts) for d in designs.values()]
 
     methods = list(designs)
     snrs = ev.snr_db_list
     nmse_values = np.empty((len(designs), len(snrs), ev.num_trials))
     elapsed_ms = np.empty_like(nmse_values)
 
-    def run_trial(trial: int) -> None:
-        realization = sample_channel(
-            sys_cfg, cfg.channel.num_paths, cfg.channel.rician_k_db, cfg.base_seed + trial
-        )
+    def run_trial(i: int, design: PilotDesign, sensing, draw) -> None:
+        trial, realization = draw
         h = assemble_channel(realization, sys_cfg)
-        for (i, design), (j, snr) in itertools.product(enumerate(designs.values()), enumerate(snrs)):
+        for j, snr in enumerate(snrs):
             sigma2 = snr_sigma2(
                 sys_cfg.total_power, sys_cfg.num_tx, sys_cfg.seq_len, len(design.allocation), snr
             )
             started = time.perf_counter()
             y = synthesize_measurement(h, design, sigma2, (cfg.base_seed + trial, _NOISE_STREAM))
-            est = SOLVERS["omp"](y, operators[i], ev.max_sparsity)
+            est = SOLVERS["omp"](y, sensing, ev.max_sparsity)
             h_hat = reconstruct_channel(est, dicts)
             nmse_values[i, j, trial] = nmse(h.stacked, h_hat.stacked)
             elapsed_ms[i, j, trial] = (time.perf_counter() - started) * 1e3
 
-    # No more workers than ``threads``, trials or CPUs; each trial writes only its
-    # own cells, and a failing one's error reaches the caller and cancels those not started.
-    with ThreadPoolExecutor(max_workers=min(threads, ev.num_trials, os.cpu_count() or 1)) as pool:
-        list(pool.map(run_trial, range(ev.num_trials)))
+    # No more workers than ``threads``, trials or CPUs this process may run on.
+    # Each task writes only its own cells; a failing one's error reaches the
+    # caller, cancels the tasks not started, and no later design or block starts.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    with ThreadPoolExecutor(max_workers=min(threads, ev.num_trials, cpus)) as pool:
+        for first in range(0, ev.num_trials, _TRIAL_BLOCK):
+            draws = [
+                (t, sample_channel(sys_cfg, cfg.channel.num_paths, cfg.channel.rician_k_db,
+                                   cfg.base_seed + t))
+                for t in range(first, min(first + _TRIAL_BLOCK, ev.num_trials))
+            ]
+            for i, design in enumerate(designs.values()):
+                sensing = build_sensing_matrix(design, dicts)
+                list(pool.map(partial(run_trial, i, design, sensing), draws))
+                del sensing  # freed before the next design's operator is built
 
     cells = list(itertools.product(enumerate(methods), enumerate(snrs)))
 

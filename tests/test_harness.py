@@ -441,6 +441,63 @@ class TestRunEstimate:
         peak(4)  # warm-up
         assert peak(40) - peak(4) <= 1 << 20
 
+    def test_memory_does_not_grow_with_designs(self, tmp_path):
+        # One sensing operator (about 2.5 MiB on paper) is held at a time, so
+        # each design beyond the first adds only its loaded pilot blocks.
+        cfg = load_experiment_config("paper")
+        ev = replace(cfg.evaluation, snr_db_list=(10.0,), num_trials=2)
+        cfg = replace(cfg, evaluation=ev)
+        designs = [make_baseline_design(cfg, 8, seed) for seed in range(4)]
+        paths = [tmp_path / f"design_b{seed}.json" for seed in range(4)]
+        for design, path in zip(designs, paths):
+            save_design(design, path)
+
+        def peak(num_designs):
+            tracemalloc.start()
+            try:
+                run_estimate(cfg, paths[:num_designs], tmp_path / f"e{num_designs}")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # warm-up
+        assert peak(4) - peak(1) <= 3 * designs[0].blocks.nbytes + (1 << 19)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_trial_blocks_and_designs_keep_bytes(self, tiny_cfg, tmp_path, monkeypatch, threads):
+        # 7 trials in blocks of 3 end on a short block; two designs share each block.
+        cfg = replace(tiny_cfg, evaluation=replace(tiny_cfg.evaluation, num_trials=7))
+        d = run_design(cfg, tmp_path / "d")["design"]
+        b = run_baseline(cfg, len(load_design(d).allocation), tmp_path / "design_b.json")
+        ref = run_estimate(cfg, [d, b], tmp_path / "ref")
+        monkeypatch.setattr(harness, "_TRIAL_BLOCK", 3)
+        out = run_estimate(cfg, [d, b], tmp_path / "blocks", threads=threads)
+        for name in ("trials", "summary"):
+            assert out[name].read_bytes() == ref[name].read_bytes()
+
+    def test_workers_bounded_by_usable_cpus(self, tiny_cfg, tmp_path, monkeypatch):
+        # A process pinned to one CPU starts one worker, however many the host has.
+        requested = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        design = run_baseline(tiny_cfg, 8, tmp_path / "design_b.json")
+        run_estimate(tiny_cfg, [design], tmp_path / "e", threads=2)
+        assert requested == [1]
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_failing_trial_stops_the_run(self, tmp_path, monkeypatch, threads):
         cfg = load_experiment_config("desk")
@@ -663,7 +720,7 @@ class TestCsvWriter:
         d = run_design(tiny_cfg, tmp_path / "d")["design"]
         b = run_baseline(tiny_cfg, len(load_design(d).allocation), tmp_path / "design_b.json")
         # A clock reading (c/8)² at its c-th call: cell c of the one-thread run,
-        # trial by trial, takes calls 2c and 2c + 1.
+        # design by design within the one block of trials, takes calls 2c and 2c + 1.
         ticks = itertools.count()
         monkeypatch.setattr(harness, "time",
                             SimpleNamespace(perf_counter=lambda: (next(ticks) / 8) ** 2))
@@ -679,10 +736,10 @@ class TestCsvWriter:
         ]
         header = ["method", "snr_db", "trial_index", "seed", "nmse"]
         assert out["trials"].read_bytes() == _oracle_bytes(tmp_path, header, trial_rows)
-        n_methods, n_snrs, _ = nmse_values.shape
+        _, n_snrs, n_trials = nmse_values.shape
         first = 2 * nmse_values.size  # the clock calls of the untimed run come first
         for row, (i, j, t) in zip(trial_rows, np.ndindex(nmse_values.shape)):
-            c = first + 2 * ((t * n_methods + i) * n_snrs + j)
+            c = first + 2 * ((i * n_trials + t) * n_snrs + j)
             row.append(repr((((c + 1) / 8) ** 2 - (c / 8) ** 2) * 1e3))
         assert timed["trials"].read_bytes() == _oracle_bytes(
             tmp_path, [*header, "elapsed_ms"], trial_rows)
